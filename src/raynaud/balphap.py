@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Pres, kernel_into, quotient_by, subquotient
-from .rmod import Unstable, stable_pushdown
+from .linalg import Pres, Span, kernel_into, quotient_by, subquotient
+from .rmod import Unstable, eventual_kernel
 from .blocks import make_block, truncate
 from .formal import FormalObject, Summand
 from .homs import cone_or_extension
@@ -167,7 +167,6 @@ def row1_map(p, ncols, m, n):
     sz = L.piece(0).pres.ngens
     R = L.R
     gstar = L.F_lift(0)  # right multiplication by F has the same matrix
-    nsrc = ncols - 1  # source has nsrc - 1 copies of B^t... see below
     # source column index t = ncols - 1 has (t - 1) E-copies plus one;
     # the map goes to column t + 1 = ncols with t copies plus one.
     t = ncols
@@ -214,55 +213,28 @@ def e2_rows01(cfg: PipelineConfig):
         R = a.R
         return Pres(R, copies * a.ngens, np.kron(np.eye(copies, dtype=np.int64), a.rels))
 
-    def maps_at(mm, nn):
-        d01, s0, d0, L = row1_map(p, 1, mm, nn)
-        d11, s1, d1, _ = row1_map(p, 2, mm, nn)
-        d21, s2, d2, _ = row1_map(p, 3, mm, nn)
-        return d01, d11, d21, L
+    # column c of the first row holds c + 1 copies of H~^1(E), and
+    # E_2^{c,1} = ker d^{c,1} / im d^{c-1,1}.  d^{0,1} is right
+    # multiplication by F, so E_2^{0,1} = 0 and E_2^{1,1} = coker(.F).
+    expected = {0: [], 1: [1], 2: []}
+    for c in (0, 1, 2):
 
-    # E_2^{0,1} = ker d^{0,1}: the kernel of right multiplication by F
-    d01_base, d11_base, d21_base, Lbase = maps_at(m, n)
-    src0 = column_pres(1, m, n)
+        def step(k, c=c):
+            mm, nn = m + k, n + k
+            P = np.kron(np.eye(c + 1, dtype=np.int64), E.tower.proj(0, (mm, nn), (m, n)))
+            d = row1_map(p, c + 1, mm, nn)[0]
+            return d, column_pres(c + 1, mm, nn), column_pres(c + 2, mm, nn), P
 
-    def ker01_at(k):
-        d01, _, _, L = maps_at(m + k, n + k)
-        K = kernel_into(d01, column_pres(1, m + k, n + k), column_pres(2, m + k, n + k))
-        P = E.tower.proj(0, (m + k, n + k), (m, n))
-        return K, P
-
-    K01, _ = stable_pushdown(ker01_at, src0, steps=4, what="E2^{0,1}")
-    if K01.min_exps():
-        raise Unstable("E2^{0,1} expected to vanish")
-
-    # E_2^{1,1} = ker d^{1,1} / im d^{0,1} = coker of right multiplication by F
-    src1 = column_pres(2, m, n)
-
-    def ker11_at(k):
-        _, d11, _, L = maps_at(m + k, n + k)
-        K = kernel_into(d11, column_pres(2, m + k, n + k), column_pres(3, m + k, n + k))
-        P = np.kron(np.eye(2, dtype=np.int64), E.tower.proj(0, (m + k, n + k), (m, n)))
-        return K, P
-
-    K11st, K11 = stable_pushdown(ker11_at, src1, steps=4, what="E2^{1,1}")
-    S11, _ = subquotient(src1, K11, d01_base)
-    if S11.min_exps() != [1]:
-        raise Unstable(f"E2^{{1,1}} should be one-dimensional, got {S11.min_exps()}")
-    # the induced operators on the cell must all vanish (the alpha_p module)
-    _check_cell_ops_vanish(E, K11, d01_base, m, n)
-
-    # E_2^{2,1} = ker d^{2,1} / im d^{1,1} = 0
-    src2 = column_pres(3, m, n)
-
-    def ker21_at(k):
-        _, _, d21, L = maps_at(m + k, n + k)
-        K = kernel_into(d21, column_pres(3, m + k, n + k), column_pres(4, m + k, n + k))
-        P = np.kron(np.eye(3, dtype=np.int64), E.tower.proj(0, (m + k, n + k), (m, n)))
-        return K, P
-
-    K21st, K21 = stable_pushdown(ker21_at, src2, steps=4, what="E2^{2,1}")
-    S21, _ = subquotient(src2, K21, d11_base)
-    if S21.min_exps():
-        raise Unstable(f"E2^{{2,1}} expected to vanish, got {S21.min_exps()}")
+        src = column_pres(c + 1, m, n)
+        cell, Kgens = eventual_kernel(step, src, steps=4, what=f"E2^{{{c},1}}")
+        if c:
+            d_in = row1_map(p, c, m, n)[0]
+            cell, _ = subquotient(src, Kgens, d_in)
+        if cell.min_exps() != expected[c]:
+            raise Unstable(f"E2^{{{c},1}} should be {expected[c]}, got {cell.min_exps()}")
+        if c == 1:
+            # the induced operators on the cell must all vanish (the alpha_p module)
+            _check_cell_ops_vanish(E, Kgens, d_in, m, n)
 
     return {
         "row0": row0,
@@ -284,8 +256,6 @@ def _check_cell_ops_vanish(E, Ktop, Kbot, m, n):
     for name, mat in (("F", L.F_lift(0)), ("V", L.V(0))):
         op = np.kron(np.eye(2, dtype=np.int64), mat)
         img = (op @ Ktop) % R.q
-        from .linalg import Span
-
         sp = Span(np.concatenate([span_bot, R.p * two], axis=1) % R.q, R)
         for c in range(img.shape[1]):
             if not sp.contains(img[:, c]):
@@ -315,13 +285,12 @@ def row2_e2(cfg: PipelineConfig):
     # E_2^{0,2} = 0: multiplication by p is injective on W(-1)[1] pro-stably
     Wpres = truncate(W, m, n).piece(0).pres
 
-    def kerp_at(k):
+    def step(k):
         amb = truncate(W, m + k, n + k).piece(0).pres
-        K = kernel_into((p * amb.R.eye(amb.ngens)) % amb.R.q, amb, amb)
         P = W.tower.proj(0, (m + k, n + k), (m, n))
-        return K, P
+        return (p * amb.R.eye(amb.ngens)) % amb.R.q, amb, amb, P
 
-    Kp, _ = stable_pushdown(kerp_at, Wpres, steps=4, what="ker(p) on W")
+    Kp, _ = eventual_kernel(step, Wpres, steps=4, what="ker(p) on W")
     if Kp.min_exps():
         raise Unstable("multiplication by p on W(-1)[1] must be injective")
 

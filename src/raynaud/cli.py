@@ -14,8 +14,9 @@ Subcommands:
   checker suite.
 
 Exit codes: 0 success; 1 invariant violation, failed check, or an
-inapplicable closed form; 2 parse error; 3 non-stabilization.  JSON
-output has sorted keys, so identical inputs give identical bytes.
+inapplicable closed form; 2 parse error or an out-of-range prime,
+precision or V-depth; 3 non-stabilization.  JSON output has sorted
+keys, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -101,11 +102,21 @@ def _load_object(path, args):
         raise SpecError(f"--p {args.p} does not match the spec file (p = {obj.p})")
     if args.r is not None and obj.r != args.r:
         raise SpecError(f"--r {args.r} does not match the spec file (r = {obj.r})")
-    if obj.p not in (2, 3, 5, 7):
-        raise SpecError("p must be one of 2, 3, 5, 7")
+    _check_prime(obj.p)
     if obj.r > 4:
         raise SpecError("r is limited to 1..4")
     return obj
+
+
+def _check_prime(p):
+    if p not in (2, 3, 5, 7):
+        raise SpecError("p must be one of 2, 3, 5, 7")
+
+
+def _check_truncation(args):
+    for flag, value in (("--precision", args.precision), ("--vdepth", args.vdepth)):
+        if value < 1:
+            raise SpecError(f"{flag} must be at least 1, got {value}")
 
 
 def _single_block(obj: FormalObject):
@@ -176,6 +187,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_prime(args.p)
     if args.degree_bound > 3:
         print("not certified by pipeline (degree bound is 3)", file=sys.stderr)
         return EXIT_VIOLATION
@@ -251,6 +263,7 @@ def _stringify(data):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_truncation(args)
         if args.command == "invariants":
             return cmd_invariants(args)
         if args.command == "star":

@@ -60,12 +60,6 @@ class FormalObject:
         """Cohomological degrees where the object can be nonzero."""
         return sorted({-s.j for s in self.summands})
 
-    def degree_part(self, ndeg: int) -> "FormalObject":
-        return FormalObject(self.p, self.r, [s for s in self.summands if -s.j == ndeg])
-
-    def is_module(self):
-        return all(s.j == 0 for s in self.summands)
-
     def module_tower(self):
         """SumTower of a single-degree object, with grading shifts applied."""
         degs = self.degrees()

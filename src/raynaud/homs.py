@@ -359,22 +359,22 @@ def identify_block(model: Tower, candidates, m, n, offsets=(0, -1, 1, -2, 2)):
             if n + off < 2:
                 continue
             shifted = ShiftDepth(tower, off)
-            ok = True
-            for k in (0, 1):
-                Lm = model.level(m + k, n + k)
-                Lc = shifted.level(m + k, n + k)
-                keys = set(model.gradings()) | set(tower.gradings())
-                if any(
-                    Lm.piece(i).pres.min_exps() != Lc.piece(i).pres.min_exps() for i in keys
-                ):
-                    ok = False
-                    break
-            if not ok:
+            if not fingerprints_match(model, shifted, m, n):
                 continue
             phi = find_isomorphism(shifted, model, m, n)
             if phi is not None:
                 return name, off, phi
     return None
+
+
+def fingerprints_match(model: Tower, cand: Tower, m, n) -> bool:
+    """Equal per-grading normal forms at levels (m + k, n + k), k = 0, 1."""
+    keys = set(model.gradings()) | set(cand.gradings())
+    for k in (0, 1):
+        Lm, Lc = model.level(m + k, n + k), cand.level(m + k, n + k)
+        if any(Lm.piece(i).pres.min_exps() != Lc.piece(i).pres.min_exps() for i in keys):
+            return False
+    return True
 
 
 class QuotientTower(Tower):

@@ -40,7 +40,15 @@ from .linalg import (
     quotient_by,
     subquotient,
 )
-from .rmod import Tower, Unstable, _blockdiag, compose_F, mat_pow_mod, stable_pushdown
+from .rmod import (
+    Tower,
+    Unstable,
+    _blockdiag,
+    compose_F,
+    eventual_kernel,
+    mat_pow_mod,
+    stable_pushdown,
+)
 from .blocks import BlockModule
 from .formal import FormalObject
 
@@ -97,6 +105,16 @@ def _v_infty_z(tower: Tower, i, m, n):
     return G if G.size else R.zeros(piece.ngens, 0)
 
 
+def _stable_v_infty_z(tower: Tower, i, m, n, steps):
+    """V^-inf Z at grading i, pushed down to level (m, n) until it is stable."""
+    return stable_pushdown(
+        lambda k: (_v_infty_z(tower, i, m + k, n + k), tower.proj(i, (m + k, n + k), (m, n))),
+        tower.level(m, n).piece(i).pres,
+        steps=steps,
+        what="V^-inf Z",
+    )
+
+
 def _f_infty_b(tower: Tower, i, m, n, smax=None):
     """Generators of sum_s F^s im(d) pushed to level (m, n)."""
     R = ZMod(tower.p, m)
@@ -133,13 +151,7 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         tower = block.tower
         m, n = cfg2.m, cfg2.n
         base = tower.level(m, n).piece(i).pres
-
-        def z_at(k):
-            G = _v_infty_z(tower, i, m + k, n + k)
-            P = tower.proj(i, (m + k, n + k), (m, n))
-            return G, P
-
-        Z, Zgens = stable_pushdown(z_at, base, steps=cfg2.steps, what="V^-inf Z")
+        _, Zgens = _stable_v_infty_z(tower, i, m, n, cfg2.steps)
         B = _f_infty_b(tower, i, m, n)
         S, reps = subquotient(base, Zgens, B)
         exps = S.min_exps()
@@ -150,9 +162,7 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         lo_gens = (Pd @ Zgens) % lo.R.q
         B_lo = _f_infty_b(tower, i, m, n - 1)
         lo_quot = quotient_by(lo.piece(i).pres, B_lo)
-        from .linalg import induced_matrix
-
-        Fmat = induced_matrix(np.eye(lo.piece(i).ngens, dtype=np.int64), Fimg, lo_gens, lo_quot)
+        Fmat = induced_matrix(Fimg, lo_gens, lo_quot)
         return {
             "exps": exps,
             "gens": Zgens,
@@ -170,15 +180,8 @@ def domino_number_tower(tower: Tower, i, cfg: InvariantConfig, r=1) -> int:
     dims = []
     for k in (0, 1):
         L = tower.level(m + k, n + k)
-        base = L.piece(i).pres
-
-        def z_at(step, _k=k):
-            G = _v_infty_z(tower, i, m + _k + step, n + _k + step)
-            P = tower.proj(i, (m + _k + step, n + _k + step), (m + _k, n + _k))
-            return G, P
-
-        Z, Zgens = stable_pushdown(z_at, base, steps=cfg.steps, what="V^-inf Z")
-        Q = quotient_by(base, np.concatenate([Zgens, L.V(i)], axis=1))
+        _, Zgens = _stable_v_infty_z(tower, i, m + k, n + k, cfg.steps)
+        Q = quotient_by(L.piece(i).pres, np.concatenate([Zgens, L.V(i)], axis=1))
         dims.append(Q.kdim() // r)
     if dims[0] != dims[1]:
         raise Unstable(f"domino number at grading {i} did not stabilize")
@@ -351,16 +354,14 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
     """H^0, H^-1, H^-2 of the u_N/v_N complex at grading g."""
     R = ZMod(tower.p, m)
 
-    def pieces_at(mm, nn):
+    def pair_pres(mm, nn):
+        # M^(g-1) + M^g at level (mm, nn), the middle term of the complex
         L = tower.level(mm, nn)
-        return L, L.piece(g - 1), L.piece(g)
-
-    L, pm1, pg = pieces_at(m, n)
-    amb1 = Pres(R, pm1.ngens + pg.ngens, _blockdiag(R, [pm1.pres.rels, pg.pres.rels]))
+        a, b = L.piece(g - 1).pres, L.piece(g).pres
+        return Pres(L.R, a.ngens + b.ngens, _blockdiag(L.R, [a.rels, b.rels]))
 
     def vN(mm, nn):
         Lx = tower.level(mm, nn)
-        a, b = Lx.piece(g - 1), Lx.piece(g)
         qx = Lx.R.q
         dv = (Lx.d(g - 1) @ mat_pow_mod(Lx.V(g - 1), N, qx)) % qx
         vn = mat_pow_mod(Lx.V(g), N, qx)
@@ -369,67 +370,36 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
     def uN(mm, nn):
         # from level (mm, nn + N) into (mm, nn)
         Lhi = tower.level(mm, nn + N)
-        src = Lhi.piece(g - 1)
         FN_same = compose_F(tower, g - 1, mm, nn + N, N)
         FNd = (compose_F(tower, g, mm, nn + N, N) @ Lhi.d(g - 1)) % (tower.p**mm)
-        top = FN_same
-        bot = (-FNd) % (tower.p**mm)
-        return np.concatenate([top, bot], axis=0) % (tower.p**mm)
+        return np.concatenate([FN_same, -FNd], axis=0) % (tower.p**mm)
 
     out = {}
     # H^0: cokernel of v_N (right exact, no correction needed)
-    C = quotient_by(pg.pres, vN(m, n))
-    out[0] = C.min_exps()
+    pg = tower.level(m, n).piece(g)
+    out[0] = quotient_by(pg.pres, vN(m, n)).min_exps()
 
     # H^-1: stabilized ker(v_N) modulo im(u_N)
-    def ker_v_at(k):
-        Lk = tower.level(m + k, n + k)
-        a, b = Lk.piece(g - 1), Lk.piece(g)
-        ambk = Pres(
-            Lk.R, a.ngens + b.ngens, _blockdiag(Lk.R, [a.pres.rels, b.pres.rels])
-        )
-        K = kernel_into(vN(m + k, n + k), ambk, Lk.piece(g).pres)
+    def step_v(k):
+        mm, nn = m + k, n + k
         P = _blockdiag(
-            R,
-            [
-                tower.proj(g - 1, (m + k, n + k), (m, n)),
-                tower.proj(g, (m + k, n + k), (m, n)),
-            ],
+            R, [tower.proj(g - 1, (mm, nn), (m, n)), tower.proj(g, (mm, nn), (m, n))]
         )
-        return K, P
+        return vN(mm, nn), pair_pres(mm, nn), tower.level(mm, nn).piece(g).pres, P
 
-    try:
-        K1, K1gens = stable_pushdown(ker_v_at, amb1, steps=steps, what="ker v_N")
-    except Unstable:
-        raise
-    imu = uN(m, n)
-    H1, _ = subquotient(amb1, K1gens, imu)
+    amb1 = pair_pres(m, n)
+    K1, K1gens = eventual_kernel(step_v, amb1, steps=steps, what="ker v_N")
+    H1, _ = subquotient(amb1, K1gens, uN(m, n))
     out[-1] = H1.min_exps()
 
     # H^-2: stabilized kernel of u_N inside M(-1) at level (m, n + N)
+    def step_u(k):
+        mm, nn = m + k, n + k
+        P = tower.proj(g - 1, (mm, nn + N), (m, n + N))
+        return uN(mm, nn), tower.level(mm, nn + N).piece(g - 1).pres, pair_pres(mm, nn), P
+
     amb2 = tower.level(m, n + N).piece(g - 1).pres
-
-    def ker_u_at(k):
-        Ksrc = kernel_into(
-            uN(m + k, n + k),
-            tower.level(m + k, n + k + N).piece(g - 1).pres,
-            Pres(
-                ZMod(tower.p, m + k),
-                tower.level(m + k, n + k).piece(g - 1).ngens
-                + tower.level(m + k, n + k).piece(g).ngens,
-                _blockdiag(
-                    ZMod(tower.p, m + k),
-                    [
-                        tower.level(m + k, n + k).piece(g - 1).pres.rels,
-                        tower.level(m + k, n + k).piece(g).pres.rels,
-                    ],
-                ),
-            ),
-        )
-        P = tower.proj(g - 1, (m + k, n + k + N), (m, n + N))
-        return Ksrc, P
-
-    K2, K2gens = stable_pushdown(ker_u_at, amb2, steps=steps, what="ker u_N")
+    K2, K2gens = eventual_kernel(step_u, amb2, steps=steps, what="ker u_N")
     H2, _ = subquotient(amb2, K2gens, amb2.rels)
     out[-2] = H2.min_exps()
     return out
@@ -658,13 +628,12 @@ def _block_totalization(block: BlockModule, precision, cfg):
                 L = tower.level(mm, n)
                 base = L.piece(g).pres
 
-                def ker_at(k, _mm=mm):
-                    Lk = tower.level(_mm + k, n + k)
-                    K = kernel_into(Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres)
-                    P = tower.proj(g, (_mm + k, n + k), (_mm, n))
-                    return K, P
+                def step(k, mm=mm):
+                    Lk = tower.level(mm + k, n + k)
+                    P = tower.proj(g, (mm + k, n + k), (mm, n))
+                    return Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres, P
 
-                K, Kgens = stable_pushdown(ker_at, base, steps=cfg2.steps, what="ker d")
+                K, Kgens = eventual_kernel(step, base, steps=cfg2.steps, what="ker d")
                 H, _ = subquotient(base, Kgens, L.d(g - 1))
                 exps_pair.append(H.min_exps())
             lo, hi = exps_pair

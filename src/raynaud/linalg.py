@@ -6,8 +6,10 @@ kernels of matrices between modules with prescribed coordinate
 annihilators, membership tests, presentations of spans and quotients,
 and a division-free characteristic polynomial.
 
-Matrices are numpy int64 arrays with entries reduced into [0, p^m).
-Entries stay below p^m <= 7^8, so int64 products never overflow.
+Matrices are numpy int64 arrays with entries reduced into [0, q),
+q = p^m.  `ZMod` only enforces q^2 < 2^62.  A matrix product with inner
+dimension k is exact only when k * (q - 1)^2 < 2^63; at q = 7^10 that
+allows k <= 115.  No product checks this bound yet.
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ def invert_unimodular(U, R: ZMod) -> np.ndarray:
     return B
 
 
+def _lattice_scale(R: ZMod, exps) -> np.ndarray:
+    """Row scales p^(m - e): coordinate i is then read modulo p^exps[i]."""
+    return np.array([R.p ** (R.m - min(e, R.m)) for e in exps], dtype=np.int64)
+
+
 def kernel_gens(A, R: ZMod, dst_exps=None, src_exps=None) -> np.ndarray:
     """Generators (columns) of {x : A x = 0 in prod Z/p^dst_exps[i]},
     where source coordinate j is understood mod p^src_exps[j].
@@ -171,8 +178,7 @@ def kernel_gens(A, R: ZMod, dst_exps=None, src_exps=None) -> np.ndarray:
     elif dst_exps is None:
         B = A
     else:
-        scale = np.array([R.p ** (R.m - min(e, R.m)) for e in dst_exps], dtype=np.int64)
-        B = (A * scale[:, None]) % R.q
+        B = (A * _lattice_scale(R, dst_exps)[:, None]) % R.q
     gens = []
     if rows == 0 or not B.any():
         gens.append(R.eye(cols))
@@ -204,9 +210,7 @@ class LinearSolver:
         self.R = R
         A = R.reduce(A)
         if dst_exps is not None:
-            self._scale = np.array(
-                [R.p ** (R.m - min(e, R.m)) for e in dst_exps], dtype=np.int64
-            )
+            self._scale = _lattice_scale(R, dst_exps)
             A = (A * self._scale[:, None]) % R.q
         else:
             self._scale = None
@@ -254,11 +258,8 @@ class Span:
         self.R = R
         G = R.reduce(G)
         if ambient_exps is not None:
-            scale = np.array(
-                [R.p ** (R.m - min(e, R.m)) for e in ambient_exps], dtype=np.int64
-            )
-            G = (G * scale[:, None]) % R.q
-            self._scale = scale
+            self._scale = _lattice_scale(R, ambient_exps)
+            G = (G * self._scale[:, None]) % R.q
         else:
             self._scale = None
         self.U, _, self.exps = smith_normal_form(G, R)
@@ -281,11 +282,6 @@ class Span:
 
     def contains_all(self, H) -> bool:
         return all(self.contains(H[:, j]) for j in range(H.shape[1]))
-
-
-def span_contains(G, H, R: ZMod, ambient_exps=None) -> bool:
-    """Do the columns of G span every column of H?"""
-    return all(member(G, H[:, j], R, ambient_exps) for j in range(H.shape[1]))
 
 
 class Pres:
@@ -317,11 +313,6 @@ class Pres:
     @classmethod
     def free(cls, R: ZMod, ngens: int):
         return cls(R, ngens)
-
-    @classmethod
-    def vector_space(cls, R: ZMod, dim: int):
-        """k-vector space of the given F_p-dimension: all exponents 1."""
-        return cls(R, dim, (R.p * R.eye(dim)) % R.q)
 
     def normal_form(self):
         """(exps, P): exps[i] = annihilator exponent of the i-th new
@@ -456,14 +447,14 @@ def subquotient(amb: Pres, top, bot):
     return Pres(R, top.shape[1], S_rels), top
 
 
-def induced_matrix(A, src_gens, dst_gens, dst: Pres):
-    """Express A @ src_gens in terms of dst_gens modulo dst's relations.
+def induced_matrix(img, dst_gens, dst: Pres):
+    """Express the columns of img in terms of dst_gens modulo dst's relations.
 
-    Returns the matrix B with A @ src_gens = dst_gens @ B (mod rels),
-    or None if some image is not in the span.
+    Returns the matrix B with img = dst_gens @ B (mod rels), or None if
+    some column is not in the span.
     """
     R = dst.R
-    img = (R.reduce(A) @ src_gens) % R.q
+    img = R.reduce(img)
     big = np.concatenate([dst_gens, dst.rels], axis=1) % R.q
     solver = LinearSolver(big, R, dst_exps=dst.exps_ambient())
     cols = []

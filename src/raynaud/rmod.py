@@ -30,12 +30,9 @@ from .linalg import (
     induced_matrix,
     kernel_into,
     map_is_welldefined,
-    member,
+    minimal_gens,
     present_span,
     quotient_by,
-    smith_normal_form,
-    solve,
-    subquotient,
 )
 
 
@@ -193,21 +190,18 @@ class RelationReport:
     def add(self, identity, grading, witness):
         self.violations.append({"identity": identity, "grading": grading, "witness": witness})
 
+    def require_zero(self, identity, grading, A, dst: Pres):
+        """Record a violation unless every column of A is zero in dst."""
+        witness = _witness(A, dst)
+        if witness is not None:
+            self.add(identity, grading, witness)
+
     def identities(self):
         return sorted({v["identity"] for v in self.violations})
 
     def __repr__(self):
         status = "pass" if self.ok() else f"FAIL {self.identities()}"
         return f"<RelationReport {status}>"
-
-
-def _is_zero_map(A, dst: Pres) -> bool:
-    R = dst.R
-    A = R.reduce(A)
-    for j in range(A.shape[1]):
-        if not dst.element_is_zero(A[:, j]):
-            return False
-    return True
 
 
 def check_relations(tower: Tower, m: int, n: int, scalar=None) -> RelationReport:
@@ -233,32 +227,23 @@ def check_relations(tower: Tower, m: int, n: int, scalar=None) -> RelationReport
         Ft = tower.F_true(i, m, n)
         if not map_is_welldefined(Ft, piece.pres, piece_lo.pres):
             rep.add("F well-defined", i, None)
-        # FV = p
         FV = (tower.F_true(i, m, n) @ hi.V(i)) % lo.R.q
-        if not _is_zero_map(FV - p * P, piece_lo.pres):
-            rep.add("FV = p", i, _witness(FV - p * P, piece_lo.pres))
-        # VF = p
+        rep.require_zero("FV = p", i, FV - p * P, piece_lo.pres)
         VF = (lo.V(i) @ Ft) % lo.R.q
-        if not _is_zero_map(VF - p * P, piece_lo.pres):
-            rep.add("VF = p", i, _witness(VF - p * P, piece_lo.pres))
-        # FdV = d
+        rep.require_zero("VF = p", i, VF - p * P, piece_lo.pres)
         lhs = (tower.F_true(i + 1, m, n) @ hi.d(i) @ hi.V(i)) % lo.R.q
         rhs = (lo.d(i) @ P) % lo.R.q
-        if not _is_zero_map(lhs - rhs, lo.piece(i + 1).pres):
-            rep.add("FdV = d", i, _witness(lhs - rhs, lo.piece(i + 1).pres))
-        # dd = 0
+        rep.require_zero("FdV = d", i, lhs - rhs, lo.piece(i + 1).pres)
         dd = (hi.d(i + 1) @ hi.d(i)) % hi.R.q
-        if not _is_zero_map(dd, hi.piece(i + 2).pres):
-            rep.add("dd = 0", i, _witness(dd, hi.piece(i + 2).pres))
+        rep.require_zero("dd = 0", i, dd, hi.piece(i + 2).pres)
         if scalar is not None and tower.r > 1:
             Ma = tower.scalar_matrix(i, scalar, m, n)
-            Ma_lo = tower.scalar_matrix(i, scalar, m, n - 1)
             Msig = tower.scalar_matrix(i, scalar.frobenius(), m, n - 1)
             Minv = tower.scalar_matrix(i, scalar.frobenius_inverse(), m, n)
-            if not _is_zero_map((Ft @ Ma - Msig @ Ft) % lo.R.q, piece_lo.pres):
-                rep.add("Fa = sigma(a)F", i, None)
-            if not _is_zero_map((hi.V(i) @ Ma - Minv @ hi.V(i)) % hi.R.q, piece.pres):
-                rep.add("Va = sigma^-1(a)V", i, None)
+            rep.require_zero("Fa = sigma(a)F", i, (Ft @ Ma - Msig @ Ft) % lo.R.q, piece_lo.pres)
+            rep.require_zero(
+                "Va = sigma^-1(a)V", i, (hi.V(i) @ Ma - Minv @ hi.V(i)) % hi.R.q, piece.pres
+            )
     return rep
 
 
@@ -283,20 +268,17 @@ def check_transitions(tower: Tower, m: int, n: int) -> RelationReport:
             rep.add("transition surjective", i, None)
         lhsV = (lo.V(i) @ P) % lo.R.q
         rhsV = (P @ hi.V(i)) % lo.R.q
-        if not _is_zero_map(lhsV - rhsV, lo.piece(i).pres):
-            rep.add("transition commutes with V", i, None)
+        rep.require_zero("transition commutes with V", i, lhsV - rhsV, lo.piece(i).pres)
         Pn = tower.proj(i + 1, (m, n), (m, n - 1))
         lhsd = (lo.d(i) @ P) % lo.R.q
         rhsd = (Pn @ hi.d(i)) % lo.R.q
-        if not _is_zero_map(lhsd - rhsd, lo.piece(i + 1).pres):
-            rep.add("transition commutes with d", i, None)
+        rep.require_zero("transition commutes with d", i, lhsd - rhsd, lo.piece(i + 1).pres)
         if n >= 2:
             lo2 = tower.level(m, n - 2)
             P2 = tower.proj(i, (m, n - 1), (m, n - 2))
             lhsF = (P2 @ tower.F_true(i, m, n)) % lo2.R.q
             rhsF = (tower.F_true(i, m, n - 1) @ P) % lo2.R.q
-            if not _is_zero_map(lhsF - rhsF, lo2.piece(i).pres):
-                rep.add("transition commutes with F", i, None)
+            rep.require_zero("transition commutes with F", i, lhsF - rhsF, lo2.piece(i).pres)
     return rep
 
 
@@ -304,46 +286,43 @@ def check_transitions(tower: Tower, m: int, n: int) -> RelationReport:
 # towers built from an explicit finite model
 
 
+def sub_level(amb: Level, spans) -> Level:
+    """The sub-object of `amb` spanned per grading by the columns spans[g].
+
+    Each grading is re-presented on a minimal generating set of its span,
+    and V, d and F are induced on those generators; `Unstable` is raised
+    when an operator image leaves the span.
+    """
+    R = amb.R
+    gens = {g: minimal_gens(G, amb.piece(g).pres) for g, G in spans.items()}
+
+    def induced(op, G, dst_gens, dst: Pres):
+        if not G.size:
+            return R.zeros(dst_gens.shape[1], G.shape[1])
+        B = induced_matrix((op @ G) % R.q, dst_gens, dst)
+        if B is None:
+            raise Unstable("operator does not preserve the span of the chosen generators")
+        return B
+
+    pieces, V, d, F = {}, {}, {}, {}
+    for g, G in gens.items():
+        piece = amb.piece(g).pres
+        sub, _ = present_span(G, piece)
+        pieces[g] = LevelPiece([("m", g, t) for t in range(G.shape[1])], sub)
+        V[g] = induced(amb.V(g), G, G, piece)
+        F[g] = induced(amb.F_lift(g), G, G, piece)
+        if g + 1 in gens:
+            d[g] = induced(amb.d(g), G, gens[g + 1], amb.piece(g + 1).pres)
+    return Level(R, amb.n, pieces, V, d, F, r=amb.r)
+
+
 def condense_level(level: Level) -> Level:
     """Re-present a level on a minimal generating set per grading.
 
-    The operators are re-expressed on the chosen generators, so the
-    result is isomorphic to the input with far fewer coordinates;
+    The result is isomorphic to the input with far fewer coordinates;
     filtration quotients commute with the re-presentation.
     """
-    from .linalg import induced_matrix, minimal_gens, quotient_by as _qb
-
-    R = level.R
-    gens, pieces = {}, {}
-    for g in level.gradings():
-        piece = level.piece(g)
-        G = minimal_gens(R.eye(piece.ngens), piece.pres)
-        gens[g] = G
-        sub, _ = present_span(G, piece.pres)
-        pieces[g] = LevelPiece([("m", g, t) for t in range(G.shape[1])], sub)
-    V, d, F = {}, {}, {}
-    for g in level.gradings():
-        G = gens[g]
-        amb = level.piece(g).pres
-        V[g] = _cond_op(level.V(g), G, gens.get(g), amb)
-        F[g] = _cond_op(level.F_lift(g), G, gens.get(g), amb)
-        up = gens.get(g + 1)
-        if up is not None:
-            d[g] = _cond_op(level.d(g), G, up, level.piece(g + 1).pres)
-    return Level(R, level.n, pieces, V, d, F, r=level.r)
-
-
-def _cond_op(op, G, dst_gens, dst_amb):
-    from .linalg import induced_matrix
-
-    R = dst_amb.R
-    if dst_gens is None or not G.size:
-        return R.zeros(0 if dst_gens is None else dst_gens.shape[1], G.shape[1])
-    img = (op @ G) % R.q
-    B = induced_matrix(np.eye(dst_amb.ngens, dtype=np.int64), img, dst_gens, dst_amb)
-    if B is None:
-        raise Unstable("operator not expressible on the condensed generators")
-    return B
+    return sub_level(level, {g: level.R.eye(level.piece(g).ngens) for g in level.gradings()})
 
 
 class ModelTower(Tower):
@@ -479,6 +458,21 @@ def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
                 return K, G
         prev = (K, G)
     raise Unstable(f"{what} did not stabilize along the level chain")
+
+
+def eventual_kernel(step, base_piece: Pres, steps=3, what="kernel"):
+    """Eventual image at the base level of the kernels along a level chain.
+
+    `step(k)` returns (A, src, dst, proj) for chain step k >= 1: the map
+    A : src -> dst at level k and the projection from src down to the
+    base piece.  The kernels are pushed down by `stable_pushdown`.
+    """
+
+    def gens_at(k):
+        A, src, dst, proj = step(k)
+        return kernel_into(A, src, dst), proj
+
+    return stable_pushdown(gens_at, base_piece, steps=steps, what=what)
 
 
 def _same_span(G1, G2, amb: Pres):

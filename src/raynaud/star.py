@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Pres, ZMod, invert_unimodular, kernel_into, present_span, subquotient
+from .linalg import Pres, ZMod, invert_unimodular, kernel_into, quotient_by, subquotient
 from .rmod import (
     Level,
     LevelPiece,
@@ -31,10 +31,13 @@ from .rmod import (
     Unstable,
     _blockdiag,
     _same_span,
+    condense_level,
+    mat_pow_mod,
     stable_pushdown,
+    sub_level,
 )
 from .blocks import BlockModule, make_block
-from .homs import ShiftDepth, identify_block
+from .homs import ShiftDepth, fingerprints_match, identify_block
 
 
 class ClosedFormInapplicable(ValueError):
@@ -378,8 +381,6 @@ def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int, margin: 
     raw symbol model (with its second-factor map machinery) is returned
     alongside.
     """
-    from .rmod import condense_level
-
     model = StarModel(Mb, Nb, m, n + margin + 1)
     # quotient once by the filtration before condensing: the level's
     # relation span is V- and d-stable, so the re-presentation commutes
@@ -464,12 +465,6 @@ def band_alpha(E_params, band: BandModel):
         g: R.zeros(dst.sizes.get(g, 0), src.sizes.get(g, 0)) for g in set(src.sizes) | set(dst.sizes)
     }
 
-    def mat_pow(which, g, k):
-        A = np.eye(L.piece(g).ngens, dtype=np.int64)
-        for _ in range(k):
-            A = (band.m_op(which, g) @ A) % R.q
-        return A
-
     for key, (g, pos) in src.index.items():
         kind, a, gm, idx = key
         nm = L.piece(gm).ngens
@@ -482,26 +477,26 @@ def band_alpha(E_params, band: BandModel):
             if t >= j:
                 terms += dst.expand("Phi", t - j, gm, (-(p**j) * x) % R.q)
             else:
-                Fx = (mat_pow("F", gm, j - t) @ x) % R.q
+                Fx = (mat_pow_mod(band.m_op("F", gm), j - t, R.q) @ x) % R.q
                 terms += dst.expand("V", j - t, gm, (-(p**t) * Fx) % R.q)
         elif kind == "V":
             if a <= i:
-                Vax = (mat_pow("V", gm, a) @ x) % R.q
+                Vax = (mat_pow_mod(band.m_op("V", gm), a, R.q) @ x) % R.q
                 terms += dst.expand("Phi", i - a, gm, Vax)
             else:
-                Vix = (mat_pow("V", gm, i) @ x) % R.q
+                Vix = (mat_pow_mod(band.m_op("V", gm), i, R.q) @ x) % R.q
                 terms += dst.expand("V", a - i, gm, Vix)
-            Fjx = (mat_pow("F", gm, j) @ x) % R.q
+            Fjx = (mat_pow_mod(band.m_op("F", gm), j, R.q) @ x) % R.q
             terms += dst.expand("V", a + j, gm, (-Fjx) % R.q)
         elif kind == "dV":
             # alpha(dV^a(1*x)) = d(alpha(V^a(1*x))): push the V-case through d
             if a <= i:
-                Vax = (mat_pow("V", gm, a) @ x) % R.q
+                Vax = (mat_pow_mod(band.m_op("V", gm), a, R.q) @ x) % R.q
                 terms += _d_of_phi(dst, i - a, gm, Vax, band)
             else:
-                Vix = (mat_pow("V", gm, i) @ x) % R.q
+                Vix = (mat_pow_mod(band.m_op("V", gm), i, R.q) @ x) % R.q
                 terms += dst.expand("dV", a - i, gm, Vix)
-            Fjx = (mat_pow("F", gm, j) @ x) % R.q
+            Fjx = (mat_pow_mod(band.m_op("F", gm), j, R.q) @ x) % R.q
             terms += dst.expand("dV", a + j, gm, (-Fjx) % R.q)
         elif kind == "Phid":
             # F^t d (F^i - V^j) = p^i F^(t+i) d - (F^(t-j) d | d V^(j-t))
@@ -512,9 +507,9 @@ def band_alpha(E_params, band: BandModel):
             else:
                 # (dV^s) * x = dV^s(1 * F^s x) - V^s(1 * F^s d x)
                 s = j - t
-                Fsx = (mat_pow("F", gm, s) @ x) % R.q
+                Fsx = (mat_pow_mod(band.m_op("F", gm), s, R.q) @ x) % R.q
                 terms += dst.expand("dV", s, gm, (-Fsx) % R.q)
-                Fsdx = (mat_pow("F", gm + 1, s) @ band.m_op("d", gm) @ x) % R.q
+                Fsdx = (mat_pow_mod(band.m_op("F", gm + 1), s, R.q) @ band.m_op("d", gm) @ x) % R.q
                 terms += dst.expand("V", s, gm + 1, Fsdx)
         vec = dst.vector(terms)
         gg = g
@@ -547,8 +542,6 @@ def _band_rels(band: BandModel, g):
     R = band.R
     cols = []
     L = band.L
-    for kind in ("V", "dV", "Phi", "Phid"):
-        pass
     # group labels by (kind, index, grading) and transfer M's relation columns
     groups = {}
     for key, (gg, pos) in band.index.items():
@@ -650,7 +643,7 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int, identify=True
         def gens_at(step, _g=g):
             kk, srck, _fk = chain_at(step)
             Kk = kk[_g][0]
-            P = _band_projection(srck, src0, _g)
+            P = _band_select(srck, src0, _g)
             return Kk, P
 
         Kst, Kgens = stable_pushdown(
@@ -674,14 +667,14 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int, identify=True
         gens_by_g = {}
         LdB = band_level(dstB)
         for g in sorted(dstA.sizes):
-            inc = _band_inclusion(dstA, dstB, g)
+            inc = _band_select(dstA, dstB, g)
             imB = matsB.get(g, None)
             bot = imB if imB is not None else LdB.R.zeros(dstB.sizes.get(g, 0), 0)
             S, _ = subquotient(LdB.piece(g).pres, inc, bot)
             stats[g] = S.min_exps()
-            gens_by_g[g] = (inc, bot, dstB)
+            gens_by_g[g] = (inc, bot)
         if prev is not None and prev == stats:
-            hzero = _band_image_model(gens_by_g)
+            hzero = _band_image_model(dstB, gens_by_g)
             break
         prev = stats
     if hzero is None:
@@ -705,7 +698,7 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int, identify=True
         for which in ("H-1", "H0"):
             tower = result[which]["model"]
             mi, ni = min(m, mv - 1), min(n, nv - 2)
-            if _is_zero_tower(tower, mi, ni):
+            if fingerprints_match(tower, _ZeroTower(p), mi, ni):
                 result[which]["identified"] = "0"
                 result[which]["offset"] = 0
                 result[which]["status"] = "identified"
@@ -715,32 +708,13 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int, identify=True
             ident = identify_block(tower, cands, min(mi, 2), min(ni, 4))
             if ident is not None:
                 name, off, phi = ident
-                cand_tower = dict(cands)[name]
-                if not _fingerprints_match(tower, cand_tower, off, mi, ni):
+                shifted = ShiftDepth(dict(cands)[name], off)
+                if not fingerprints_match(tower, shifted, mi, ni):
                     ident = None
             result[which]["identified"] = ident[0] if ident else None
             result[which]["offset"] = ident[1] if ident else None
             result[which]["status"] = "identified" if ident else "unidentified"
     return result
-
-
-def _fingerprints_match(model: Tower, cand: Tower, off, m, n) -> bool:
-    sh = ShiftDepth(cand, off)
-    for k in (0, 1):
-        Lm = model.level(m + k, n + k)
-        Lc = sh.level(m + k, n + k)
-        keys = set(model.gradings()) | set(cand.gradings())
-        if any(Lm.piece(g).pres.min_exps() != Lc.piece(g).pres.min_exps() for g in keys):
-            return False
-    return True
-
-
-def _is_zero_tower(tower: Tower, m, n) -> bool:
-    for k in (0, 1):
-        L = tower.level(m + k, n + k)
-        if any(L.piece(g).pres.min_exps() for g in L.gradings()):
-            return False
-    return True
 
 
 class _ZeroTower(Tower):
@@ -763,7 +737,7 @@ def _bands_agree(k1, k2, src1, src2):
             if (K1 is None) != (K2 is None):
                 return False
             continue
-        inc = _band_inclusion(src1, src2, g)
+        inc = _band_select(src1, src2, g)
         K1_in_2 = (inc @ K1) % src2.R.q
         amb2 = band_level(src2).piece(g).pres
         if not _same_span(K1_in_2, K2, amb2):
@@ -771,102 +745,37 @@ def _bands_agree(k1, k2, src1, src2):
     return True
 
 
-def _coker_agree(c1, c2, dst1, dst2):
-    for g in set(c1) | set(c2):
-        if (g in c1) != (g in c2):
-            return False
-        if g in c1:
-            if c1[g][0][0].min_exps() != c2[g][0][0].min_exps():
-                return False
-    return True
+def _band_select(src: BandModel, dst: BandModel, g):
+    """Label selection at grading g: each label of src that dst also has
+    maps to itself (the band inclusions and projections)."""
+    M = dst.R.zeros(dst.sizes.get(g, 0), src.sizes.get(g, 0))
+    for key, (gg, pos) in src.index.items():
+        if gg == g and key in dst.index:
+            M[dst.index[key][1], pos] = 1
+    return M
 
 
-def _band_inclusion(src_small: BandModel, src_big: BandModel, g):
-    R = src_big.R
-    inc = R.zeros(src_big.sizes.get(g, 0), src_small.sizes.get(g, 0))
-    for key, (gg, pos) in src_small.index.items():
-        if gg != g:
-            continue
-        if key in src_big.index:
-            inc[src_big.index[key][1], pos] = 1
-    return inc
+def _band_image_model(dstB: BandModel, gens_by_g) -> Tower:
+    """Cokernel model: the image of the band inclusion inside X/(im alpha).
 
-
-def _band_projection(src_hi: BandModel, src_lo: BandModel, g):
-    """Label projection from a deeper band model down to a shallower one."""
-    R = src_lo.R
-    P = R.zeros(src_lo.sizes.get(g, 0), src_hi.sizes.get(g, 0))
-    for key, (gg, pos) in src_hi.index.items():
-        if gg != g:
-            continue
-        if key in src_lo.index:
-            P[src_lo.index[key][1], pos] = 1
-    return P
-
-
-def _band_image_model(gens_by_g) -> Tower:
-    """Cokernel model: the image of the band inclusion inside X/(im alpha)."""
-    from .linalg import minimal_gens, quotient_by as _qb
-
-    pieces, V, d, F = {}, {}, {}, {}
-    some = next(iter(gens_by_g.values()))
-    dstB = some[2]
-    R = dstB.R
+    gens_by_g[g] is (inc, bot): the included columns and the image of
+    alpha at grading g."""
     LB = band_level(dstB)
-    opV, opd, opF = _band_ops(dstB)
-    quots = {}
-    gens = {}
-    for g, (inc, bot, _) in gens_by_g.items():
-        quots[g] = _qb(LB.piece(g).pres, bot)
-        gens[g] = minimal_gens(inc, quots[g])
-    for g, (inc, bot, _) in gens_by_g.items():
-        G = gens[g]
-        S, _reps = subquotient(LB.piece(g).pres, G, bot)
-        pieces[g] = LevelPiece([("c", g, t) for t in range(G.shape[1])], S)
-        V[g] = _induced_on(opV.get(g), G, gens.get(g), quots[g])
-        F[g] = _induced_on(opF.get(g), G, gens.get(g), quots[g])
-        if (g + 1) in gens_by_g:
-            d[g] = _induced_on(opd.get(g), G, gens.get(g + 1), quots[g + 1])
-    model = Level(R, dstB.n_v, pieces, V, d, F, r=1)
+    pieces = {
+        g: LevelPiece(LB.piece(g).labels, quotient_by(LB.piece(g).pres, bot))
+        for g, (_, bot) in gens_by_g.items()
+    }
+    quot = Level(dstB.R, dstB.n_v, pieces, *_band_ops(dstB), r=1)
+    model = sub_level(quot, {g: inc for g, (inc, _) in gens_by_g.items()})
     return ModelTower(model, dstB.Mb.p, depth_margin=1)
 
 
 def _band_submodel(band: BandModel, kernel_gens) -> Tower:
     """The kernel as a standalone tower (model with induced operators)."""
-    from .linalg import minimal_gens
-
-    R = band.R
     L = band_level(band)
-    opV, opd, opF = _band_ops(band)
-    pieces, V, d, F = {}, {}, {}, {}
-    gens = {}
-    for g in band.sizes:
-        G = kernel_gens.get(g, R.zeros(band.sizes.get(g, 0), 0))
-        gens[g] = minimal_gens(G, L.piece(g).pres)
-    for g in band.sizes:
-        G = gens[g]
-        sub, _ = present_span(G, L.piece(g).pres)
-        pieces[g] = LevelPiece([("k", g, t) for t in range(G.shape[1])], sub)
-        V[g] = _induced_on(opV.get(g), G, gens.get(g), L.piece(g).pres)
-        d[g] = _induced_on(opd.get(g), G, gens.get(g + 1), L.piece(g + 1).pres)
-        F[g] = _induced_on(opF.get(g), G, gens.get(g), L.piece(g).pres)
-    model = Level(R, band.n_v, pieces, V, d, F, r=1)
-    return ModelTower(model, band.Mb.p, depth_margin=1)
-
-
-def _induced_on(op, G, dst_gens, amb: Pres):
-    from .linalg import induced_matrix
-
-    R = amb.R
-    cols = 0 if G is None else G.shape[1]
-    rows = 0 if dst_gens is None else dst_gens.shape[1]
-    if op is None or G is None or not G.size or dst_gens is None or amb.ngens == 0:
-        return R.zeros(rows, cols)
-    img = (op @ G) % R.q
-    B = induced_matrix(np.eye(amb.ngens, dtype=np.int64), img, dst_gens, amb)
-    if B is None:
-        raise Unstable("kernel is not stable under the induced operator")
-    return B
+    amb = Level(band.R, band.n_v, L.pieces, *_band_ops(band), r=1)
+    spans = {g: kernel_gens.get(g, band.R.zeros(band.sizes[g], 0)) for g in band.sizes}
+    return ModelTower(sub_level(amb, spans), band.Mb.p, depth_margin=1)
 
 
 def _band_ops(band: BandModel):
@@ -933,7 +842,7 @@ def _band_ops(band: BandModel):
         if kind == "V":
             terms = band.expand("dV", a, gm, x)
         elif kind == "Phi":
-            terms = _d_of_phi_self(band, a, gm, x)
+            terms = _d_of_phi(band, a, gm, x, band)
         elif kind == "Phid":
             dx = (band.m_op("d", gm) @ x) % R.q
             terms = band.expand("Phid", a, gm + 1, (-dx) % R.q)
@@ -941,30 +850,6 @@ def _band_ops(band: BandModel):
         if band.sizes.get(g + 1, 0):
             opd[g][:, pos] = vec[g + 1]
     return opV, opd, opF
-
-
-def _d_of_phi_self(band: BandModel, t, gm, xvec):
-    p = band.Mb.p
-    terms = band.expand("Phid", t, gm, (p**t) * xvec % band.R.q)
-    dx = (band.m_op("d", gm) @ xvec) % band.R.q
-    terms += band.expand("Phi", t, gm + 1, dx)
-    return terms
-
-
-def _band_quotient_model(band: BandModel, coker_data) -> Tower:
-    """The cokernel as a tower: band module modulo the image columns."""
-    R = band.R
-    L = band_level(band)
-    opV, opd, opF = _band_ops(band)
-    pieces = {}
-    for g in band.sizes:
-        if g in coker_data:
-            Q, piece, _ = coker_data[g]
-            pieces[g] = LevelPiece(piece.labels, Q[0] if isinstance(Q, tuple) else Q)
-        else:
-            pieces[g] = L.piece(g)
-    model = Level(R, band.n_v, pieces, opV, opd, opF, r=1)
-    return ModelTower(model, band.Mb.p, depth_margin=1)
 
 
 def _model_exps(tower: Tower, m=2, n=4):

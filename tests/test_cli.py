@@ -173,3 +173,28 @@ def test_console_entry_point():
         text=True,
     )
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["report", "--p", "4"],
+        ["report", "--p", "1"],
+        ["report", "--precision", "0"],
+        ["report", "--vdepth", "0"],
+    ],
+)
+def test_report_out_of_range_numbers_exit_2(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spec error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["invariants", "check", "star"])
+@pytest.mark.parametrize("flag", ["--precision", "--vdepth"])
+def test_spec_commands_refuse_zero_truncation(command, flag, specs, capsys):
+    args = [command, specs["u0"]] + ([specs["w"]] if command == "star" else [])
+    code, out, err = run_cli(args + [flag, "0"], capsys)
+    assert code == 2
+    assert flag in err

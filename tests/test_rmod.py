@@ -5,11 +5,15 @@ import pytest
 
 from raynaud.blocks import make_block, truncate
 from raynaud.formal import FormalObject
+from raynaud.linalg import Pres, ZMod, kernel_into
 from raynaud.rmod import (
     Level,
     Tower,
+    Unstable,
     check_relations,
     check_transitions,
+    eventual_kernel,
+    stable_pushdown,
     standard_filtration,
 )
 from raynaud.witt import FiniteField
@@ -169,3 +173,52 @@ def test_formal_object_parse_errors():
         FormalObject.from_json(
             '{"p": 2, "r": 1, "object": [{"block": {"kind": "Dieudonne", "i": 2, "j": 2}}]}'
         )
+
+
+def test_stable_pushdown_returns_once_two_consecutive_spans_agree():
+    R = ZMod(2, 3)
+    base = Pres(R, 1)
+    calls = []
+
+    def gens_at(k):
+        calls.append(k)
+        # spans 2, 4, 4, ...: the first agreeing pair is steps 2 and 3
+        return np.array([[2 ** min(k, 2)]]), R.eye(1)
+
+    K, G = stable_pushdown(gens_at, base, steps=5, what="probe")
+    assert calls == [1, 2, 3]
+    assert K.min_exps() == [1]
+    assert G.tolist() == [[4]]
+
+
+def test_stable_pushdown_raises_unstable_naming_what():
+    R = ZMod(2, 3)
+    with pytest.raises(Unstable, match="probe span"):
+        stable_pushdown(
+            lambda k: (np.array([[2**k]]), R.eye(1)), Pres(R, 1), steps=3, what="probe span"
+        )
+
+
+@pytest.mark.parametrize("kind,params", [("UnitW", {}), ("Domino", {"t": 0}), ("DAlphaP", {})])
+def test_eventual_kernel_matches_the_hand_written_pushdown(kind, params):
+    # the eventual kernel of d as the totalization computes it, against
+    # the closure that fed stable_pushdown directly before eventual_kernel
+    tower = make_block(kind, 2, **params).tower
+    m, n = 2, 6
+    for g in tower.gradings():
+        base = tower.level(m, n).piece(g).pres
+
+        def ker_at(k):
+            Lk = tower.level(m + k, n + k)
+            K = kernel_into(Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres)
+            return K, tower.proj(g, (m + k, n + k), (m, n))
+
+        def step(k):
+            Lk = tower.level(m + k, n + k)
+            P = tower.proj(g, (m + k, n + k), (m, n))
+            return Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres, P
+
+        K_old, G_old = stable_pushdown(ker_at, base, steps=3, what="ker d")
+        K_new, G_new = eventual_kernel(step, base, steps=3, what="ker d")
+        assert K_new.min_exps() == K_old.min_exps()
+        assert np.array_equal(G_new, G_old)
