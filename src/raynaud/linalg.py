@@ -69,58 +69,76 @@ class ZMod:
         return hash((self.p, self.m))
 
 
-def smith_normal_form(A, R: ZMod):
+def smith_normal_form(A, R: ZMod, left=True, right=True):
     """Return (U, V, exps) with U @ A @ V = diag(p^exps) mod p^m.
 
     U and V are invertible over Z/p^m and exps is ascending, so the
     diagonal forms a divisibility chain.  An exponent equal to R.m
-    means the diagonal entry is 0 in Z/p^m.
+    means the diagonal entry is 0 in Z/p^m.  With left=False (right=False)
+    U (V) is not accumulated and None is returned in its place; the
+    pivots, the other transform and exps do not change.
 
     Pivots are chosen layer by layer in the valuation: once every
     valuation-e entry of the remaining submatrix is exhausted, none can
-    reappear, so the search per step is a single vectorized pass.
+    reappear, so every remaining entry is divisible by p^e and the
+    search per step is a single vectorized pass.
+
+    Each step touches only what can change.  Rows and columns before t
+    are already zero inside D[t:, t:]'s rows and columns, so the row
+    operations run on D[:, t:] and only on the rows with a nonzero entry
+    in column t.  After them column t of D is p^e e_t, and every entry of
+    row t is a multiple of p^e, so the column operations that clear row
+    t change no other row of D: they amount to D[t, t+1:] = 0.  They
+    still act on V, but only on the rows where V[:, t] is nonzero.
     """
     D = R.reduce(A).copy()
     rows, cols = D.shape
-    U = R.eye(rows)
-    V = R.eye(cols)
+    U = R.eye(rows) if left else None
+    V = R.eye(cols) if right else None
     q = R.q
     k = min(rows, cols)
     exps = []
     t = 0
     for e in range(R.m):
         pe = R.p**e
+        pp = pe * R.p
+        # hits[i]: valuation-e entries in D[i, t:]; only rows changed by a
+        # step are recounted, so the pivot search does not rescan D
+        hits = np.zeros(rows, dtype=np.int64)
+        hits[t:] = np.count_nonzero(D[t:, t:] % pp, axis=1)
         while t < k:
-            sub = D[t:, t:]
-            if e == 0:
-                cand = sub % R.p
-            else:
-                cand = np.where(sub % pe == 0, (sub // pe) % R.p, 0)
-            flat = int(np.argmax(cand != 0))
-            if not cand.flat[flat]:
+            pi = t + int(np.argmax(hits[t:] != 0))
+            if not hits[pi]:
                 break
-            pi, pj = divmod(flat, sub.shape[1])
-            pi += t
-            pj += t
+            pj = t + int(np.argmax(D[pi, t:] % pp != 0))
             if pi != t:
-                D[[t, pi]] = D[[pi, t]]
-                U[[t, pi]] = U[[pi, t]]
+                D[[t, pi], t:] = D[[pi, t], t:]
+                hits[[t, pi]] = hits[[pi, t]]
+                if left:
+                    U[[t, pi]] = U[[pi, t]]
             if pj != t:
-                D[:, [t, pj]] = D[:, [pj, t]]
-                V[:, [t, pj]] = V[:, [pj, t]]
+                D[t:, [t, pj]] = D[t:, [pj, t]]
+                if right:
+                    V[:, [t, pj]] = V[:, [pj, t]]
             u = R.inv_unit(D[t, t] // pe)
-            D[t] = (D[t] * u) % q
-            U[t] = (U[t] * u) % q
-            col = D[t + 1 :, t]
-            if col.any():
-                c = (col // pe) % q
-                D[t + 1 :] = (D[t + 1 :] - c[:, None] * D[t]) % q
-                U[t + 1 :] = (U[t + 1 :] - c[:, None] * U[t]) % q
-            row = D[t, t + 1 :]
-            if row.any():
-                c = (row // pe) % q
-                D[:, t + 1 :] = (D[:, t + 1 :] - D[:, [t]] * c[None, :]) % q
-                V[:, t + 1 :] = (V[:, t + 1 :] - V[:, [t]] * c[None, :]) % q
+            D[t, t:] = (D[t, t:] * u) % q
+            if left:
+                U[t] = (U[t] * u) % q
+            below = np.flatnonzero(D[t + 1 :, t]) + (t + 1)
+            if below.size:
+                c = D[below, t] // pe
+                D[below, t:] = (D[below, t:] - c[:, None] * D[t, t:]) % q
+                hits[below] = np.count_nonzero(D[below, t + 1 :] % pp, axis=1)
+                if left:
+                    U[below] = (U[below] - c[:, None] * U[t]) % q
+            if right:
+                cj = np.flatnonzero(D[t, t + 1 :]) + (t + 1)
+                if cj.size:
+                    c = D[t, cj] // pe
+                    vi = np.flatnonzero(V[:, t])
+                    block = np.ix_(vi, cj)
+                    V[block] = (V[block] - V[vi, t][:, None] * c[None, :]) % q
+            D[t, t + 1 :] = 0
             exps.append(e)
             t += 1
         if t >= k or not D[t:, t:].any():
@@ -183,7 +201,7 @@ def kernel_gens(A, R: ZMod, dst_exps=None, src_exps=None) -> np.ndarray:
     if rows == 0 or not B.any():
         gens.append(R.eye(cols))
     else:
-        U, V, exps = smith_normal_form(B, R)
+        _, V, exps = smith_normal_form(B, R, left=False)
         r = len(exps)
         cols_list = []
         for t in range(r):
@@ -262,7 +280,7 @@ class Span:
             G = (G * self._scale[:, None]) % R.q
         else:
             self._scale = None
-        self.U, _, self.exps = smith_normal_form(G, R)
+        self.U, _, self.exps = smith_normal_form(G, R, right=False)
         self.shape = G.shape
 
     def contains(self, x) -> bool:
@@ -321,7 +339,7 @@ class Pres:
             if self.rels.shape[1] == 0:
                 self._nf = ([self.R.m] * self.ngens, self.R.eye(self.ngens))
             else:
-                U, _, sexps = smith_normal_form(self.rels, self.R)
+                U, _, sexps = smith_normal_form(self.rels, self.R, right=False)
                 exps = [self.R.m] * self.ngens
                 for t, e in enumerate(sexps):
                     exps[t] = min(e, self.R.m)
@@ -348,7 +366,13 @@ class Pres:
         return sorted(e for e in self.exps if e > 0)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.exps)
+        if self._nf is not None:
+            return all(e == 0 for e in self._nf[0])
+        # Nakayama over the local ring Z/p^m: the module is zero iff it is
+        # zero mod p, i.e. iff rels mod p has full row rank over F_p.  The
+        # implicit lattice p^m * (every generator) vanishes mod p.
+        _, _, exps = smith_normal_form(self.rels, ZMod(self.R.p, 1), left=False, right=False)
+        return len(exps) == self.ngens and all(e == 0 for e in exps)
 
     def rel_span(self) -> "Span":
         if not hasattr(self, "_span") or self._span is None:
@@ -455,6 +479,8 @@ def induced_matrix(img, dst_gens, dst: Pres):
     """
     R = dst.R
     img = R.reduce(img)
+    if not img.shape[1]:
+        return R.zeros(dst_gens.shape[1], 0)
     big = np.concatenate([dst_gens, dst.rels], axis=1) % R.q
     solver = LinearSolver(big, R, dst_exps=dst.exps_ambient())
     cols = []
@@ -463,8 +489,6 @@ def induced_matrix(img, dst_gens, dst: Pres):
         if sol is None:
             return None
         cols.append(sol[: dst_gens.shape[1]])
-    if not cols:
-        return R.zeros(dst_gens.shape[1], 0)
     return np.stack(cols, axis=1) % R.q
 
 

@@ -143,11 +143,16 @@ def compose_F(tower: Tower, i: int, m: int, n: int, steps: int) -> np.ndarray:
 
 
 def mat_pow_mod(A, s: int, q: int) -> np.ndarray:
+    """A^s mod q by repeated squaring."""
     A = np.asarray(A, dtype=np.int64) % q
-    out = np.eye(A.shape[0], dtype=np.int64)
-    for _ in range(s):
-        out = (A @ out) % q
-    return out
+    out = None
+    while s:
+        if s & 1:
+            out = A if out is None else (out @ A) % q
+        s >>= 1
+        if s:
+            A = (A @ A) % q
+    return np.eye(A.shape[0], dtype=np.int64) if out is None else out
 
 
 def fil_gens(level: Level, i: int, s: int) -> np.ndarray:
@@ -291,28 +296,30 @@ def sub_level(amb: Level, spans) -> Level:
 
     Each grading is re-presented on a minimal generating set of its span,
     and V, d and F are induced on those generators; `Unstable` is raised
-    when an operator image leaves the span.
+    when an operator image leaves the span.  All images landing in one
+    grading (V and F of it, d of the grading below) are solved together,
+    so each destination is factored once.
     """
     R = amb.R
     gens = {g: minimal_gens(G, amb.piece(g).pres) for g, G in spans.items()}
-
-    def induced(op, G, dst_gens, dst: Pres):
-        if not G.size:
-            return R.zeros(dst_gens.shape[1], G.shape[1])
-        B = induced_matrix((op @ G) % R.q, dst_gens, dst)
-        if B is None:
-            raise Unstable("operator does not preserve the span of the chosen generators")
-        return B
 
     pieces, V, d, F = {}, {}, {}, {}
     for g, G in gens.items():
         piece = amb.piece(g).pres
         sub, _ = present_span(G, piece)
         pieces[g] = LevelPiece([("m", g, t) for t in range(G.shape[1])], sub)
-        V[g] = induced(amb.V(g), G, G, piece)
-        F[g] = induced(amb.F_lift(g), G, G, piece)
-        if g + 1 in gens:
-            d[g] = induced(amb.d(g), G, gens[g + 1], amb.piece(g + 1).pres)
+        # (operator, source generators, target table, source grading)
+        into = [(amb.V(g), G, V, g), (amb.F_lift(g), G, F, g)]
+        if g - 1 in gens:
+            into.append((amb.d(g - 1), gens[g - 1], d, g - 1))
+        img = np.concatenate([op @ Gs for op, Gs, _, _ in into], axis=1) % R.q
+        B = induced_matrix(img, G, piece)
+        if B is None:
+            raise Unstable("operator does not preserve the span of the chosen generators")
+        off = 0
+        for _, Gs, table, src in into:
+            table[src] = B[:, off : off + Gs.shape[1]].copy()
+            off += Gs.shape[1]
     return Level(R, amb.n, pieces, V, d, F, r=amb.r)
 
 

@@ -9,6 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from raynaud.linalg import (
     ZMod,
@@ -24,6 +28,7 @@ from raynaud.linalg import (
     solve,
     subquotient,
 )
+from raynaud.rmod import mat_pow_mod
 
 
 def enumerate_vectors(q, n):
@@ -221,3 +226,155 @@ def test_charpoly_shift_matrix():
     A = R.reduce([[0, 2], [1, 0]])
     # char poly of [[0,p],[1,0]] is x^2 - p
     assert charpoly(A, R) == [1, 0, (-2) % 8]
+
+
+# ---------------------------------------------------------------------------
+# property tests: sparse, mixed-valuation matrices large enough for the
+# restricted sweeps of smith_normal_form to matter
+
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=40, max_cols=60, square=False):
+    """(R, A): R = Z/p^m with p in {2, 3, 5, 7}, m <= 4, and A with a
+    drawn share of nonzero entries p^v * u, v < m uniform, u random."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, 4))
+    R = ZMod(p, m)
+    rows = draw(st.integers(1, max_rows))
+    cols = rows if square else draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.02, 0.1, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = p ** rng.integers(0, m, size=(rows, cols))
+    units = rng.integers(1, R.q, size=(rows, cols))
+    A = np.where(rng.random((rows, cols)) < density, (vals * units) % R.q, 0)
+    return R, A.astype(np.int64)
+
+
+def _full_sweep_snf(A, R):
+    """Smith normal form whose sweeps rewrite the whole trailing matrix.
+
+    The straightforward form of `smith_normal_form`, with the same pivot
+    rule; kept only as the oracle that the restricted sweeps change no
+    output.
+    """
+    D = R.reduce(A).copy()
+    rows, cols = D.shape
+    U, V, q = R.eye(rows), R.eye(cols), R.q
+    k = min(rows, cols)
+    exps = []
+    t = 0
+    for e in range(R.m):
+        pe = R.p**e
+        while t < k:
+            sub = D[t:, t:]
+            cand = np.where(sub % pe == 0, (sub // pe) % R.p, 0)
+            flat = int(np.argmax(cand != 0))
+            if not cand.flat[flat]:
+                break
+            pi, pj = divmod(flat, sub.shape[1])
+            pi, pj = pi + t, pj + t
+            D[[t, pi]] = D[[pi, t]]
+            U[[t, pi]] = U[[pi, t]]
+            D[:, [t, pj]] = D[:, [pj, t]]
+            V[:, [t, pj]] = V[:, [pj, t]]
+            u = R.inv_unit(D[t, t] // pe)
+            D[t] = (D[t] * u) % q
+            U[t] = (U[t] * u) % q
+            c = (D[t + 1 :, t] // pe) % q
+            D[t + 1 :] = (D[t + 1 :] - c[:, None] * D[t]) % q
+            U[t + 1 :] = (U[t + 1 :] - c[:, None] * U[t]) % q
+            c = (D[t, t + 1 :] // pe) % q
+            D[:, t + 1 :] = (D[:, t + 1 :] - D[:, [t]] * c[None, :]) % q
+            V[:, t + 1 :] = (V[:, t + 1 :] - V[:, [t]] * c[None, :]) % q
+            exps.append(e)
+            t += 1
+        if t >= k or not D[t:, t:].any():
+            break
+    exps += [R.m] * (k - len(exps))
+    return U, V, exps
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_snf_diagonalizes_with_invertible_transforms(case):
+    R, A = case
+    U, V, exps = smith_normal_form(A, R)
+    D = (U @ A @ V) % R.q
+    expect = R.zeros(*A.shape)
+    for t, e in enumerate(exps):
+        expect[t, t] = R.p**e % R.q
+    assert np.array_equal(D, expect)
+    assert exps == sorted(exps)
+    assert np.array_equal((U @ invert_unimodular(U, R)) % R.q, R.eye(U.shape[0]))
+    assert np.array_equal((V @ invert_unimodular(V, R)) % R.q, R.eye(V.shape[0]))
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_snf_restricted_sweeps_match_full_sweeps(case):
+    R, A = case
+    U, V, exps = smith_normal_form(A, R)
+    U0, V0, exps0 = _full_sweep_snf(A, R)
+    assert exps == exps0
+    assert np.array_equal(U, U0)
+    assert np.array_equal(V, V0)
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_snf_one_sided_transforms_equal_two_sided(case):
+    R, A = case
+    U, V, exps = smith_normal_form(A, R)
+    none_u, V1, exps1 = smith_normal_form(A, R, left=False)
+    U2, none_v, exps2 = smith_normal_form(A, R, right=False)
+    none_u3, none_v3, exps3 = smith_normal_form(A, R, left=False, right=False)
+    assert none_u is none_v is none_u3 is none_v3 is None
+    assert exps == exps1 == exps2 == exps3
+    assert np.array_equal(V, V1)
+    assert np.array_equal(U, U2)
+
+
+def _val_capped(x, R):
+    """p-adic valuation of an integer, capped at m (0 has valuation m)."""
+    x = abs(int(x))
+    v = 0
+    while x and x % R.p == 0 and v < R.m:
+        x //= R.p
+        v += 1
+    return R.m if x == 0 else v
+
+
+@PROPERTY
+@given(sparse_matrices(max_rows=10, max_cols=10))
+def test_snf_exponents_match_sympy_invariant_factors(case):
+    R, A = case
+    factors = invariant_factors(Matrix(A.tolist()))
+    assert smith_normal_form(A, R)[2] == [_val_capped(d, R) for d in factors]
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_pres_is_zero_rank_test_matches_normal_form(case):
+    R, A = case
+    fresh = Pres(R, A.shape[0], A)  # no normal form cached: rank test mod p
+    assert fresh.is_zero() == all(e == 0 for e in Pres(R, A.shape[0], A).exps)
+    cached = Pres(R, A.shape[0], A)
+    cached.normal_form()
+    assert cached.is_zero() == fresh.is_zero()
+
+
+@PROPERTY
+@given(sparse_matrices(max_rows=8, square=True))
+def test_mat_pow_mod_matches_naive_product(case):
+    R, A = case
+    naive = R.eye(A.shape[0])
+    for s in range(10):
+        assert np.array_equal(mat_pow_mod(A, s, R.q), naive)
+        naive = (A @ naive) % R.q
