@@ -83,13 +83,13 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
     reappear, so every remaining entry is divisible by p^e and the
     search per step is a single vectorized pass.
 
-    Each step touches only what can change.  Rows and columns before t
-    are already zero inside D[t:, t:]'s rows and columns, so the row
-    operations run on D[:, t:] and only on the rows with a nonzero entry
-    in column t.  After them column t of D is p^e e_t, and every entry of
-    row t is a multiple of p^e, so the column operations that clear row
-    t change no other row of D: they amount to D[t, t+1:] = 0.  They
-    still act on V, but only on the rows where V[:, t] is nonzero.
+    Each step touches only what it can change.  D[t:, :t] and D[:t, t:]
+    are already zero, so the row operations act on columns t: of the
+    rows below t that have a nonzero entry in column t.  After them
+    column t of D is p^e e_t and every entry of row t is a multiple of
+    p^e, so the column operations that clear row t leave every other row
+    of D as it is: on D they amount to D[t, t+1:] = 0.  On V they act
+    only on the rows where V[:, t] is nonzero.
     """
     D = R.reduce(A).copy()
     rows, cols = D.shape
