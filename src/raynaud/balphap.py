@@ -6,7 +6,11 @@ Geometry enters only through recorded facts: for a supersingular
 elliptic curve E over an algebraically closed field, the diagonal-heart
 table of its de Rham-Witt cohomology is H~^0 = W, H~^1 = E_{1/2},
 H~^2 = W(-1)[1] (nothing above, as dim E = 1), and the Frobenius
-isogeny acts on H~^1 as right multiplication by F.  Everything else --
+isogeny acts on H~^1 as right multiplication by F.  These facts are
+not a table in the code: H~^1 enters as the height-2 block `E`
+(`Dieudonne(1, 1)`) that `row1_map`, `e2_rows01` and `row2_e2` build,
+with g^* = .F the `F_lift` of that block in `row1_map`; H~^0 and
+H~^2 enter as the `W` terms of rows 0 and 2.  Everything else --
 the alternating-sum maps on the columns, the sub/quotient split of the
 second row, the derived star computation, the extension cones, and all
 numerical tables -- is computed from module data at truncation.
@@ -38,7 +42,7 @@ from .invariants import (
     hodge_witt_numbers,
     symmetry_check,
 )
-from .star import derived_star, star_presentation
+from .star import StarModel, derived_star
 
 NONSPLIT_PROVENANCE = (
     "recorded fact: the degree-3 extension is non-split; this rests on the "
@@ -61,86 +65,19 @@ class PipelineConfig:
         return min(self.m, 3), min(self.n, 8)
 
 
-def elliptic_htilde_table(p):
-    """The recorded diagonal-heart table of a supersingular elliptic curve."""
-    W = make_block("UnitW", p)
-    E = make_block("Dieudonne", p, i=1, j=1)
-    return {
-        0: [Summand(W, 0, 0)],
-        1: [Summand(E, 0, 0)],
-        2: [Summand(W, -1, 1)],
-    }
-
-
-@dataclass(frozen=True)
-class StarPair:
-    """An unresolved completed star product of two shifted blocks."""
-
-    left: Summand
-    right: Summand
-
-    def label(self):
-        def one(s):
-            t = s.block.label()
-            if s.i or s.j:
-                t += f"({s.i})[{s.j}]"
-            return t
-
-        return f"{one(self.left)} * {one(self.right)}"
-
-
-def kunneth_tilde_h(factors):
-    """Convolution of diagonal-heart tables: the degree-n entry of the
-    product is the sum over i + j = n of the starred entries.
-
-    Entries are lists of summands.  A pair with a unit factor collapses
-    by the unit law (the shifts add); any other pair is returned as a
-    StarPair for the star module to resolve.
-    """
-    out = None
-    for table in factors:
-        if out is None:
-            out = {deg: list(items) for deg, items in table.items()}
-            continue
-        new = {}
-        for d1, items1 in out.items():
-            for d2, items2 in table.items():
-                deg = d1 + d2
-                for a in items1:
-                    for b in items2:
-                        new.setdefault(deg, []).append(_star_entry(a, b))
-        out = new
-    return {deg: items for deg, items in sorted(out.items())} if out else {}
-
-
-def _star_entry(a, b):
-    if isinstance(a, Summand) and isinstance(b, Summand):
-        if a.block.kind == "UnitW":
-            return Summand(b.block, b.i + a.i, b.j + a.j)
-        if b.block.kind == "UnitW":
-            return Summand(a.block, a.i + b.i, a.j + b.j)
-    # a unit factor absorbs into one leg of an unresolved pair
-    if isinstance(a, StarPair) and isinstance(b, Summand) and b.block.kind == "UnitW":
-        left = Summand(a.left.block, a.left.i + b.i, a.left.j + b.j)
-        return StarPair(left, a.right)
-    if isinstance(b, StarPair) and isinstance(a, Summand) and a.block.kind == "UnitW":
-        left = Summand(b.left.block, b.left.i + a.i, b.left.j + a.j)
-        return StarPair(left, b.right)
-    return StarPair(a, b)
-
-
 # ---------------------------------------------------------------------------
 # rows 0 and 1
 
 
-def row0_cells(cfg: PipelineConfig, cols=4):
-    """E_2 cells of the zeroth row: W -0-> W -id-> W -0-> W ..."""
+def row0_cells(cfg: PipelineConfig):
+    """E_2 cells of the zeroth row: W -0-> W -id-> W -0-> W (columns 0..3)."""
     p = cfg.p
     m, n = cfg.cell_level()
     W = make_block("UnitW", p)
     L = truncate(W, m, n)
     amb = L.piece(0).pres
     size = amb.ngens
+    cols = 4
     out = {}
     for i in range(cols):
         dout_id = i % 2 == 1  # map out of column i is the identity for odd i
@@ -251,12 +188,10 @@ def _check_cell_ops_vanish(E, Ktop, Kbot, m, n):
     sz = L.piece(0).pres.ngens
     two = np.kron(np.eye(2, dtype=np.int64), np.eye(sz, dtype=np.int64))
     src = Pres(R, 2 * sz, np.kron(np.eye(2, dtype=np.int64), L.piece(0).pres.rels))
-    bot_quot = quotient_by(src, Kbot)
-    span_bot = np.concatenate([Kbot, src.rels], axis=1)
+    sp = Span(np.concatenate([Kbot, src.rels, R.p * two], axis=1) % R.q, R)
     for name, mat in (("F", L.F_lift(0)), ("V", L.V(0))):
         op = np.kron(np.eye(2, dtype=np.int64), mat)
         img = (op @ Ktop) % R.q
-        sp = Span(np.concatenate([span_bot, R.p * two], axis=1) % R.q, R)
         for c in range(img.shape[1]):
             if not sp.contains(img[:, c]):
                 raise Unstable(f"operator {name} does not vanish on E2^{{1,1}}")
@@ -329,9 +264,10 @@ def _row2_presentation_check(cfg: PipelineConfig):
     p = cfg.p
     m, n = min(cfg.m, 2), min(cfg.n, 6)
     E = make_block("Dieudonne", p, i=1, j=1)
-    tower, model = star_presentation(E, E, m, n)
+    # the symbol model star_presentation(E, E, m, n) builds; the condensed
+    # tower is not needed here
+    model = StarModel(E, E, m, n + 3)
     Lbig = model.model
-    R = Lbig.R
     gstar = E.tower.level(m, model.S).F_lift(0)
     fmap = model.second_factor_map({0: gstar})
     results = {}
@@ -465,8 +401,6 @@ def structural_table(twisted):
 def counterexample_report(cfg: PipelineConfig = None, **kwargs):
     if cfg is None:
         cfg = PipelineConfig(**kwargs)
-    if cfg.degree_bound > 3:
-        raise ValueError("not certified by pipeline (degree bound is 3)")
     X, twisted, certs = counterexample_object(cfg)
     icfg = InvariantConfig(*cfg.cell_level())
     table = hodge_witt_numbers(X, icfg)

@@ -79,10 +79,6 @@ class UnitWTower(BlockTower):
 
 
 class ResidueKTower(BlockTower):
-    def __init__(self, p, r=1, frobenius_acts=True):
-        super().__init__(p, r)
-        self.frobenius_acts = frobenius_acts
-
     def gradings(self):
         return [0]
 
@@ -91,8 +87,7 @@ class ResidueKTower(BlockTower):
         sig, _ = _sigma_blocks(self.p, self.r, m)
         rels = (self.p * R.eye(self.r)) % R.q
         pieces = {0: LevelPiece([("k", c) for c in range(self.r)], Pres(R, self.r, rels))}
-        F = {0: sig % R.q} if self.frobenius_acts else {}
-        return Level(R, n, pieces, {}, {}, F, r=self.r)
+        return Level(R, n, pieces, {}, {}, {0: sig % R.q}, r=self.r)
 
 
 class DAlphaPTower(BlockTower):

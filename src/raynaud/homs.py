@@ -10,6 +10,8 @@ two consecutive chain lengths agree.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .linalg import Pres, ZMod, kernel_gens, quotient_by, subquotient
@@ -34,9 +36,6 @@ class ShiftDepth(Tower):
         (mh, nh), (ml, nl) = hi, lo
         return self.inner.proj(i, (mh, nh + self.offset), (ml, nl + self.offset))
 
-    def scalar_matrix(self, i, a, m, n):
-        return self.inner.scalar_matrix(i, a, m, n + self.offset)
-
 
 class GradingShift(Tower):
     """inner(a): grading g here is the inner grading g + a."""
@@ -59,9 +58,6 @@ class GradingShift(Tower):
 
     def proj(self, i, hi, lo):
         return self.inner.proj(i + self.a, hi, lo)
-
-    def scalar_matrix(self, i, a, m, n):
-        return self.inner.scalar_matrix(i + self.a, a, m, n)
 
 
 class HomResult:
@@ -106,11 +102,6 @@ def _phi_ambient(src: Tower, dst: Tower, m, n) -> Pres:
     return Pres(R, total, Z)
 
 
-def _chain_levels(m, n, length, m_cap_extra=2):
-    """Chain levels (m + min(c, cap), n + c), c = 0..length-1."""
-    return [(m + min(c, m_cap_extra), n + c) for c in range(length)]
-
-
 def _step_maps(tower: Tower, i, hi, lo):
     """(F, proj) from chain level hi down to chain level lo (one step)."""
     (mh, nh), (ml, nl) = hi, lo
@@ -121,10 +112,15 @@ def _step_maps(tower: Tower, i, hi, lo):
     return (PF @ F1) % q, P
 
 
-def _chain_solutions(src: Tower, dst: Tower, m, n, length, scalar):
-    """Solve the chain system; return (exps, phi^(0) generators, ambient)."""
+def _chain_solutions(src: Tower, dst: Tower, m, n, length):
+    """Solve the chain system over the levels (m + min(c, 2), n + c).
+
+    Returns (G, offsets, levels): G holds the solutions over the top
+    precision, and offsets[(c, i)] = (row, nd, ns) locates the nd x ns
+    block phi^(c) of grading i (stored column-major).
+    """
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
-    levels = _chain_levels(m, n, length)
+    levels = [(m + min(c, 2), n + c) for c in range(length)]
     Mbig = max(mc for mc, _ in levels)
     RB = ZMod(src.p, Mbig)
     p = src.p
@@ -193,22 +189,11 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length, scalar):
                 if nd_up and ns_up:
                     parts.append((off1, kron_block(np.eye(nd1, dtype=np.int64), Ls.d(i))))
                 add_equation(parts, tgt_d, mc)
-            if scalar is not None and src.r > 1:
-                Msrc = src.scalar_matrix(i, scalar, mc, nc)
-                Mdst = dst.scalar_matrix(i, scalar, mc, nc)
-                add_equation(
-                    [
-                        (off, kron_block(np.eye(nd, dtype=np.int64), Msrc)),
-                        (off, (-kron_block(Mdst, np.eye(ns, dtype=np.int64))) % RB.q),
-                    ],
-                    tgt,
-                    mc,
-                )
         if c >= 1:
             ml, nl = levels[c - 1]
-            Ldl, Lsl = dst.level(ml, nl), src.level(ml, nl)
+            Ldl = dst.level(ml, nl)
             for i in gradings:
-                off_hi, nd_hi, ns_hi = offsets[(c, i)]
+                off_hi, _, ns_hi = offsets[(c, i)]
                 off_lo, nd_lo, ns_lo = offsets[(c - 1, i)]
                 tgt = Ldl.piece(i).pres
                 if tgt.ngens == 0 or ns_hi == 0:
@@ -230,15 +215,10 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length, scalar):
     else:
         G = np.diag([p**e for e in lattice]).astype(np.int64) if lattice else RB.zeros(0, 0)
         G = np.concatenate([RB.eye(total), G], axis=1) if total else G
-    bottom = sum(offsets[(0, i)][1] * offsets[(0, i)][2] for i in gradings)
-    R0 = ZMod(p, m)
-    G0 = (G[:bottom, :] % R0.q) if G.size else R0.zeros(bottom, 0)
-    amb = _phi_ambient(src, dst, m, n)
-    S, _ = subquotient(amb, G0, amb.rels)
-    return S.min_exps(), G0, amb, G, offsets, levels
+    return G, offsets, levels
 
 
-def formal_hom(X, Y, m: int, n: int, max_chain: int = 5):
+def formal_hom(X, Y, m: int, n: int):
     """Hom space between two formal objects concentrated in one
     cohomological degree; zero when the degrees differ."""
     degs_x, degs_y = X.degrees(), Y.degrees()
@@ -246,23 +226,30 @@ def formal_hom(X, Y, m: int, n: int, max_chain: int = 5):
         raise ValueError("objects must be concentrated in one cohomological degree")
     if degs_x and degs_y and degs_x != degs_y:
         return HomResult([], True, [], (m, n))
-    return hom_space(X.module_tower(), Y.module_tower(), m, n, max_chain=max_chain)
+    return hom_space(X.module_tower(), Y.module_tower(), m, n)
 
 
-def hom_space(src: Tower, dst: Tower, m: int, n: int, max_chain: int = 5, scalar=None):
+def hom_space(src: Tower, dst: Tower, m: int, n: int):
     """Tower homs src -> dst reported at level (m, n).
 
-    Returns a HomResult whose exps describe Hom as a Z/p^m-module;
-    raises Unstable if chain lengths up to `max_chain` do not agree.
+    Returns a HomResult whose exps describe Hom as a Z/p^m-module: the
+    span of the bottom components phi^(0) of the chain solutions, modulo
+    the maps into the destination relations.  Chain lengths 2, 3, 4, 5
+    are tried in turn; raises Unstable if no two consecutive ones agree.
     """
+    amb = _phi_ambient(src, dst, m, n)
+    q = src.p**m
     prev = None
-    for length in range(2, max_chain + 1):
-        exps, G0, amb = _chain_solutions(src, dst, m, n, length, scalar)[:3]
+    for length in range(2, 6):
+        G, offsets, _ = _chain_solutions(src, dst, m, n, length)
+        bottom = sum(nd * ns for (c, _), (_, nd, ns) in offsets.items() if c == 0)
+        G0 = G[:bottom, :] % q
+        exps = subquotient(amb, G0, amb.rels)[0].min_exps()
         if prev is not None and prev[0] == exps and _same_span(prev[1], G0, amb):
             basis = _unpack_basis(G0, src, dst, m, n)
             return HomResult(exps, True, basis, (m, n))
         prev = (exps, G0)
-    raise Unstable(f"hom space did not stabilize with chain length <= {max_chain}")
+    raise Unstable("hom space did not stabilize with chain length <= 5")
 
 
 def _unpack_basis(G0, src, dst, m, n):
@@ -308,46 +295,42 @@ def is_isomorphism_at(phi, src: Tower, dst: Tower, m, n) -> bool:
     return True
 
 
-def find_isomorphism(src: Tower, dst: Tower, m, n, rng=None, tries=40):
+def find_isomorphism(src: Tower, dst: Tower, m, n):
     """A tower hom invertible at both levels of a length-2 chain, or None.
 
     Phantom homs are harmless here: any solution that is invertible at
     (m, n) and whose chain partner is invertible at the level above is
-    an isomorphism of the truncations in the tower sense.
+    an isomorphism of the truncations in the tower sense.  The candidates
+    are the solution columns, then 40 random combinations of them (a
+    fixed seed, so the search is reproducible).
     """
-    exps, G0, amb, G, offsets, levels = _chain_solutions(src, dst, m, n, 2, None)
-    if not G.size or not G.any():
+    G, offsets, levels = _chain_solutions(src, dst, m, n, 2)
+    if not G.any():
         return None
-    if rng is None:
-        rng = np.random.default_rng(0)
-    Mbig = max(mc for mc, _ in levels)
-    qb = src.p**Mbig
+    rng = np.random.default_rng(0)
+    qb = src.p ** max(mc for mc, _ in levels)
     ncand = G.shape[1]
     vectors = [G[:, c] for c in range(ncand)]
-    for _ in range(tries):
+    for _ in range(40):
         coeffs = rng.integers(0, qb, size=ncand)
         vectors.append((G @ coeffs) % qb)
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
     for vec in vectors:
         phis = []
-        good = True
         for c, (mc, nc) in enumerate(levels):
-            qc = src.p**mc
-            Ls, Ld = src.level(mc, nc), dst.level(mc, nc)
             mats = {}
             for i in gradings:
                 off, nd, ns = offsets[(c, i)]
-                mats[i] = vec[off : off + nd * ns].reshape(ns, nd).T % qc
-            if not is_isomorphism_at(mats, ShiftDepth(src, nc - n), ShiftDepth(dst, nc - n), mc, n):
-                good = False
+                mats[i] = vec[off : off + nd * ns].reshape(ns, nd).T % src.p**mc
+            if not is_isomorphism_at(mats, src, dst, mc, nc):
                 break
             phis.append(mats)
-        if good:
+        else:
             return phis[0]
     return None
 
 
-def identify_block(model: Tower, candidates, m, n, offsets=(0, -1, 1, -2, 2)):
+def identify_block(model: Tower, candidates, m, n):
     """Match a computed tower against candidate blocks up to a depth offset.
 
     candidates: list of (name, tower).  Returns (name, offset, phi) for
@@ -355,7 +338,7 @@ def identify_block(model: Tower, candidates, m, n, offsets=(0, -1, 1, -2, 2)):
     None.  Dimension fingerprints cut the search before any hom solve.
     """
     for name, tower in candidates:
-        for off in offsets:
+        for off in (0, -1, 1, -2, 2):
             if n + off < 2:
                 continue
             shifted = ShiftDepth(tower, off)
@@ -408,18 +391,13 @@ class QuotientTower(Tower):
     def proj(self, i, hi, lo):
         return self.inner.proj(i, hi, lo)
 
-    def scalar_matrix(self, i, a, m, n):
-        return self.inner.scalar_matrix(i, a, m, n)
 
-
-def canonical_map_k_to_domino(p, lam, m, n, r=1):
+def canonical_map_k_to_domino(p, lam, m, n):
     """The hom k(-1) -> U_{-1} with parameter lam, as level matrices.
 
     The image of 1 is lam * (dV^{-1} + dV^0 + dV^1 + ...): over F_p the
     compatibility lambda_j = lambda_{j+1}^p forces equal coefficients.
     """
-    if r != 1:
-        raise NotImplementedError("canonical extension maps are implemented for r = 1")
     from .blocks import DominoTower
 
     tower = DominoTower(p, -1)
@@ -430,8 +408,8 @@ def canonical_map_k_to_domino(p, lam, m, n, r=1):
     return {1: col % q}
 
 
-def cone_or_extension(p, lam, m=3, n=8, r=1):
-    """Cone of the map k(-1) -> U_{-1} with class lam.
+def cone_or_extension(p, lam, m=3, n=8):
+    """Cone of the map k(-1) -> U_{-1} with class lam (r = 1).
 
     lam a unit: the cone is U_0 (explicit isomorphism of truncations is
     returned).  lam = 0: the split sum U_{-1} + k(-1)[1], returned as a
@@ -442,15 +420,11 @@ def cone_or_extension(p, lam, m=3, n=8, r=1):
 
     lam = int(lam) % p
     if lam == 0:
-        return {"kind": "split", "object": _split_object(p, r)}
-    um1 = DominoTower(p, -1, r)
-
-    def extra(mm, nn):
-        return {i: mat for i, mat in canonical_map_k_to_domino(p, lam, mm, nn, r).items()}
-
-    cone = QuotientTower(um1, extra)
+        um1, kblk = make_block("Domino", p, t=-1), make_block("ResidueK", p)
+        return {"kind": "split", "object": FormalObject.of_blocks(p, 1, (um1, 0, 0), (kblk, -1, 1))}
+    cone = QuotientTower(DominoTower(p, -1), partial(canonical_map_k_to_domino, p, lam))
     # the map is injective on k (pro-stably), so the cone is the cokernel
-    u0 = make_block("Domino", p, r, t=0)
+    u0 = make_block("Domino", p, t=0)
     ident = identify_block(cone, [("U_0", u0.tower)], min(m, 3), min(n, 6))
     return {
         "kind": "U_0",
@@ -459,12 +433,3 @@ def cone_or_extension(p, lam, m=3, n=8, r=1):
         "identification": ident,
         "block": u0 if ident else None,
     }
-
-
-def _split_object(p, r):
-    from .blocks import make_block
-    from .formal import FormalObject
-
-    um1 = make_block("Domino", p, r, t=-1)
-    kblk = make_block("ResidueK", p, r)
-    return FormalObject.of_blocks(p, r, (um1, 0, 0), (kblk, -1, 1))

@@ -115,16 +115,14 @@ def _stable_v_infty_z(tower: Tower, i, m, n, steps):
     )
 
 
-def _f_infty_b(tower: Tower, i, m, n, smax=None):
-    """Generators of sum_s F^s im(d) pushed to level (m, n)."""
+def _f_infty_b(tower: Tower, i, m, n):
+    """Generators of sum_s F^s im(d) pushed to level (m, n), accepted when
+    the lengths at s - 1 and s agree for some 2 <= s <= n (else Unstable)."""
     R = ZMod(tower.p, m)
-    if smax is None:
-        smax = n
     cols = []
     prev_len = -1
     piece = tower.level(m, n).piece(i)
-    G = R.zeros(piece.ngens, 0)
-    for s in range(smax + 1):
+    for s in range(n + 1):
         Lsrc = tower.level(m, n + s)
         B = Lsrc.d(i - 1)
         if B.shape[1]:
@@ -134,9 +132,9 @@ def _f_infty_b(tower: Tower, i, m, n, smax=None):
         G = G[:, G.any(axis=0)] if G.size else G
         sub, _ = present_span(G, piece.pres)
         if sub.length() == prev_len and s >= 2:
-            break
+            return G
         prev_len = sub.length()
-    return G
+    raise Unstable(f"F^inf B at grading {i} did not stabilize with s <= {n}")
 
 
 def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
@@ -325,7 +323,6 @@ def rn_tensor_block(block: BlockModule, N, cfg=DEFAULT_CONFIG) -> TruncatedCompl
     def compute():
         cfg2 = cfg.require(max(block.stabilization + 2, N + 2))
         tower = block.tower
-        p, r = block.p, block.r
         # exhibiting W_N-level structure needs coefficient precision > N
         m, n = max(cfg2.m, N + 1), max(cfg2.n, 2 * N + 2)
         entries = {}
@@ -525,8 +522,8 @@ class InvariantTable:
             }
         return json.dumps(payload, sort_keys=True)
 
-    def to_markdown(self, key="hW", max_total=None):
-        table = getattr(self, key if key != "hW" else "hW")
+    def to_markdown(self, key="hW"):
+        table = getattr(self, key)
         if not table:
             return f"(empty {key} table)\n"
         imax = max(i for i, _ in table)
@@ -540,10 +537,7 @@ class InvariantTable:
         for j in range(jmax, jmin - 1, -1):
             row = [f"| {j} |"]
             for i in range(imin, imax + 1):
-                if max_total is not None and i + j > max_total:
-                    row.append("  |")
-                else:
-                    row.append(f" {table.get((i, j), 0)} |")
+                row.append(f" {table.get((i, j), 0)} |")
             lines.append("".join(row))
         return "\n".join(lines) + "\n"
 

@@ -178,30 +178,17 @@ def invert_unimodular(U, R: ZMod) -> np.ndarray:
     return B
 
 
-def _lattice_scale(R: ZMod, exps) -> np.ndarray:
-    """Row scales p^(m - e): coordinate i is then read modulo p^exps[i]."""
-    return np.array([R.p ** (R.m - min(e, R.m)) for e in exps], dtype=np.int64)
-
-
-def kernel_gens(A, R: ZMod, dst_exps=None, src_exps=None) -> np.ndarray:
-    """Generators (columns) of {x : A x = 0 in prod Z/p^dst_exps[i]},
-    where source coordinate j is understood mod p^src_exps[j].
-
-    With both exps omitted this is the plain kernel over Z/p^m.
+def kernel_gens(A, R: ZMod, src_exps=None) -> np.ndarray:
+    """Generators (columns) of {x : A x = 0 over Z/p^m}, where source
+    coordinate j is understood mod p^src_exps[j] (plain Z/p^m if omitted).
     """
     A = R.reduce(A)
     rows, cols = A.shape
-    if rows == 0:
-        B = A
-    elif dst_exps is None:
-        B = A
-    else:
-        B = (A * _lattice_scale(R, dst_exps)[:, None]) % R.q
     gens = []
-    if rows == 0 or not B.any():
+    if rows == 0 or not A.any():
         gens.append(R.eye(cols))
     else:
-        _, V, exps = smith_normal_form(B, R, left=False)
+        _, V, exps = smith_normal_form(A, R, left=False)
         r = len(exps)
         cols_list = []
         for t in range(r):
@@ -221,50 +208,6 @@ def kernel_gens(A, R: ZMod, dst_exps=None, src_exps=None) -> np.ndarray:
     return G[:, G.any(axis=0)] if G.size else G
 
 
-class LinearSolver:
-    """Cached Smith transforms for solving A x = b repeatedly."""
-
-    def __init__(self, A, R: ZMod, dst_exps=None):
-        self.R = R
-        A = R.reduce(A)
-        if dst_exps is not None:
-            self._scale = _lattice_scale(R, dst_exps)
-            A = (A * self._scale[:, None]) % R.q
-        else:
-            self._scale = None
-        self.shape = A.shape
-        self.U, self.V, self.exps = smith_normal_form(A, R)
-
-    def solve(self, b):
-        R = self.R
-        b = R.reduce(b).reshape(-1)
-        if self._scale is not None:
-            b = (b * self._scale) % R.q
-        c = (self.U @ b) % R.q
-        r = len(self.exps)
-        y = np.zeros(self.shape[1], dtype=np.int64)
-        for t in range(self.shape[0]):
-            if t >= r or self.exps[t] >= R.m:
-                if t < len(c) and c[t] % R.q != 0:
-                    return None
-                continue
-            pe = R.p ** self.exps[t]
-            if c[t] % pe != 0:
-                return None
-            y[t] = c[t] // pe
-        return (self.V @ y) % R.q
-
-
-def solve(A, b, R: ZMod, dst_exps=None):
-    """One solution x of A x = b (mod the target lattice), or None."""
-    return LinearSolver(A, R, dst_exps=dst_exps).solve(b)
-
-
-def member(G, x, R: ZMod, ambient_exps=None) -> bool:
-    """Is x in the span of the columns of G (plus the ambient lattice)?"""
-    return solve(G, x, R, dst_exps=ambient_exps) is not None
-
-
 class Span:
     """Cached membership tests for the span of a set of columns.
 
@@ -272,34 +215,56 @@ class Span:
     comparing generating sets is linear in the number of generators.
     """
 
-    def __init__(self, G, R: ZMod, ambient_exps=None):
+    def __init__(self, G, R: ZMod):
         self.R = R
         G = R.reduce(G)
-        if ambient_exps is not None:
-            self._scale = _lattice_scale(R, ambient_exps)
-            G = (G * self._scale[:, None]) % R.q
-        else:
-            self._scale = None
-        self.U, _, self.exps = smith_normal_form(G, R, right=False)
         self.shape = G.shape
+        self.U, _, self.exps = smith_normal_form(G, R, right=False)
+
+    def _diagonal_quotient(self, x):
+        """y with diag(p^exps) y = U x, or None when x is not in the span
+        (a diagonal entry 0 in Z/p^m, or a row past the diagonal, needs 0)."""
+        R = self.R
+        pe = np.full(self.shape[0], R.q, dtype=np.int64)
+        r = len(self.exps)
+        pe[:r] = [R.p**e if e < R.m else R.q for e in self.exps]
+        c = (self.U @ R.reduce(x).reshape(-1)) % R.q
+        if (c % pe).any():
+            return None
+        return c[:r] // pe[:r]
 
     def contains(self, x) -> bool:
-        R = self.R
-        x = R.reduce(x).reshape(-1)
-        if self._scale is not None:
-            x = (x * self._scale) % R.q
-        c = (self.U @ x) % R.q
-        r = len(self.exps)
-        for t in range(self.shape[0]):
-            if t >= r or self.exps[t] >= R.m:
-                if c[t] % R.q != 0:
-                    return False
-            elif c[t] % (R.p ** self.exps[t]) != 0:
-                return False
-        return True
+        return self._diagonal_quotient(x) is not None
 
     def contains_all(self, H) -> bool:
         return all(self.contains(H[:, j]) for j in range(H.shape[1]))
+
+
+class LinearSolver(Span):
+    """Cached Smith transforms for solving A x = b repeatedly: the span
+    of A's columns, with the column transform V kept as well."""
+
+    def __init__(self, A, R: ZMod):
+        self.R = R
+        A = R.reduce(A)
+        self.shape = A.shape
+        self.U, self.V, self.exps = smith_normal_form(A, R)
+
+    def solve(self, b):
+        y = self._diagonal_quotient(b)
+        if y is None:
+            return None
+        return (self.V[:, : len(y)] @ y) % self.R.q
+
+
+def solve(A, b, R: ZMod):
+    """One solution x of A x = b, or None."""
+    return LinearSolver(A, R).solve(b)
+
+
+def member(G, x, R: ZMod) -> bool:
+    """Is x in the span of the columns of G?"""
+    return solve(G, x, R) is not None
 
 
 class Pres:
@@ -375,15 +340,12 @@ class Pres:
         return len(exps) == self.ngens and all(e == 0 for e in exps)
 
     def rel_span(self) -> "Span":
-        if not hasattr(self, "_span") or self._span is None:
-            self._span = Span(self.rels, self.R, ambient_exps=self.exps_ambient())
+        if self._span is None:
+            self._span = Span(self.rels, self.R)
         return self._span
 
     def element_is_zero(self, x) -> bool:
         return self.rel_span().contains(x)
-
-    def exps_ambient(self):
-        return [self.R.m] * self.ngens
 
     def __repr__(self):
         return f"Pres({self.R!r}, exps={self.min_exps()})"
@@ -392,9 +354,7 @@ class Pres:
 def map_is_welldefined(A, src: Pres, dst: Pres) -> bool:
     """Does the matrix A send the relations of src into those of dst?"""
     R = src.R
-    img = (R.reduce(A) @ src.rels) % R.q
-    span = dst.rel_span()
-    return all(span.contains(img[:, j]) for j in range(img.shape[1]))
+    return dst.rel_span().contains_all((R.reduce(A) @ src.rels) % R.q)
 
 
 def kernel_into(A, src: Pres, dst: Pres) -> np.ndarray:
@@ -404,15 +364,9 @@ def kernel_into(A, src: Pres, dst: Pres) -> np.ndarray:
     relations are included among the generators (they map to zero).
     """
     R = src.R
-    A = R.reduce(A)
-    k = dst.rels.shape[1]
-    if k == 0:
-        G = kernel_gens(A, R, dst_exps=dst.exps_ambient(), src_exps=None)
-    else:
-        # unknowns (x, y) with A x - rels_dst y = 0 over Z/q
-        big = np.concatenate([A, (-dst.rels) % R.q], axis=1)
-        G = kernel_gens(big, R)
-        G = G[: src.ngens, :]
+    # unknowns (x, y) with A x - rels_dst y = 0 over Z/q
+    big = np.concatenate([R.reduce(A), (-dst.rels) % R.q], axis=1)
+    G = kernel_gens(big, R)[: src.ngens, :]
     G = np.concatenate([G, src.rels], axis=1) % R.q
     G = G[:, G.any(axis=0)]
     return G if G.size else R.zeros(src.ngens, 0)
@@ -482,7 +436,7 @@ def induced_matrix(img, dst_gens, dst: Pres):
     if not img.shape[1]:
         return R.zeros(dst_gens.shape[1], 0)
     big = np.concatenate([dst_gens, dst.rels], axis=1) % R.q
-    solver = LinearSolver(big, R, dst_exps=dst.exps_ambient())
+    solver = LinearSolver(big, R)
     cols = []
     for j in range(img.shape[1]):
         sol = solver.solve(img[:, j])

@@ -422,11 +422,6 @@ class SumTower(Tower):
             )
         return Level(R, n, pieces, V, d, F, r=self.r)
 
-    def scalar_matrix(self, i, a, m, n):
-        return _blockdiag(
-            ZMod(self.p, m), [t.scalar_matrix(i + s, a, m, n) for t, s in self.summands]
-        )
-
 
 def _blockdiag(R, blocks, rows=None):
     if rows is None:

@@ -53,7 +53,7 @@ def _require_r1(*blocks):
 # closed form: F bijective on N
 
 
-def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule, depth_margin=2) -> Tower:
+def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule) -> Tower:
     """The tensor-product model of M * N, valid for F bijective on N."""
     _require_r1(Mb, Nb)
 
@@ -109,7 +109,7 @@ def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule, depth_margin=2) -
             return Level(R, S, pieces, V, d, F, r=1)
 
         def _build(self, m, n):
-            model = self._model_for(m, n + depth_margin)
+            model = self._model_for(m, n + 2)  # a depth margin of two
             return ModelTower(model, Mb.p, depth_margin=1).level(m, n)
 
     def _prod_op(LM, LN, parts_src, parts_dst, which, R):
@@ -373,19 +373,20 @@ class StarModel:
         return out
 
 
-def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int, margin: int = 2):
+def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int):
     """M * N as a tower at truncation (m, n); the model is cut by the
     output's own standard filtration at each level.
 
-    The returned tower is condensed to a minimal generating set; the
-    raw symbol model (with its second-factor map machinery) is returned
-    alongside.
+    The symbol model is built at depth n + 3 and cut at n + 2, a margin
+    of two V-steps above the requested level.  The returned tower is
+    condensed to a minimal generating set; the raw symbol model (with
+    its second-factor map machinery) is returned alongside.
     """
-    model = StarModel(Mb, Nb, m, n + margin + 1)
+    model = StarModel(Mb, Nb, m, n + 3)
     # quotient once by the filtration before condensing: the level's
     # relation span is V- and d-stable, so the re-presentation commutes
     # with all further filtration quotients
-    base = ModelTower(model.model, Mb.p, depth_margin=1).level(m, n + margin)
+    base = ModelTower(model.model, Mb.p, depth_margin=1).level(m, n + 2)
     condensed = condense_level(base)
     return ModelTower(condensed, Mb.p, depth_margin=1), model
 
@@ -563,36 +564,35 @@ def _band_rels(band: BandModel, g):
     return np.stack(cols, axis=1) % R.q if cols else R.zeros(band.sizes[g], 0)
 
 
-def star_with_R(Mb: BlockModule, m: int, n: int, f_depth: int = None, completed=True):
-    """The four-band decomposition of R * M (completed: V-bands are
-    products, which truncation renders finite)."""
-    if f_depth is None:
-        f_depth = n
-    band = BandModel(Mb, m, n, f_depth)
+def star_with_R(Mb: BlockModule, m: int, n: int):
+    """The four-band decomposition of R * M at V-depth n, with n F-bands
+    (completed: V-bands are products, which truncation renders finite)."""
+    band = BandModel(Mb, m, n, n)
     counts = {
         "V": n - 1,
         "dV": n - 1,
-        "Phi": f_depth,
-        "Phid": f_depth,
+        "Phi": n,
+        "Phid": n,
     }
     return {
         "bands": counts,
-        "completed": completed,
         "model": band,
         "level": band_level(band),
         "per_band_module": Mb.label(),
     }
 
 
-def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int, identify=True):
+def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     """Cohomology of E_(j/i+j) *hat^L N via the two-term resolution.
 
     The F-bands form a colimit direction: kernels are unions over the
     band inclusions and cokernels are the images of the transition maps
     (which is what kills the top-of-band classes); the V- and precision
     directions are limits, handled by eventual images down the levels.
-    Returns {"H-1": ..., "H0": ...} with raw presentations and, when
-    the match succeeds, the identified block and depth offset.
+    Returns {"H-1": ..., "H0": ...} with raw presentations, and for each
+    the identification that is always attempted: "identified" (a block
+    name, "0" or None), "offset" (its depth offset) and "status"
+    ("identified" or "unidentified").
     """
     if Eb.kind != "Dieudonne":
         raise ValueError("derived star is implemented along the height-block resolution")
@@ -685,35 +685,34 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int, identify=True
         "H0": {"model": hzero, "exps": _model_exps(hzero)},
         "f_depth": f,
     }
-    if identify:
-        cands = [
-            ("U_-1", make_block("Domino", p, t=-1).tower),
-            ("U_0", make_block("Domino", p, t=0).tower),
-            ("U_1", make_block("Domino", p, t=1).tower),
-            ("U_2", make_block("Domino", p, t=2).tower),
-            ("W", make_block("UnitW", p).tower),
-            ("E", Eb.tower),
-            ("0", _ZeroTower(p)),
-        ]
-        for which in ("H-1", "H0"):
-            tower = result[which]["model"]
-            mi, ni = min(m, mv - 1), min(n, nv - 2)
-            if fingerprints_match(tower, _ZeroTower(p), mi, ni):
-                result[which]["identified"] = "0"
-                result[which]["offset"] = 0
-                result[which]["status"] = "identified"
-                continue
-            # explicit isomorphism at a small level; the match must then
-            # agree exactly (normal forms per grading) at the working level
-            ident = identify_block(tower, cands, min(mi, 2), min(ni, 4))
-            if ident is not None:
-                name, off, phi = ident
-                shifted = ShiftDepth(dict(cands)[name], off)
-                if not fingerprints_match(tower, shifted, mi, ni):
-                    ident = None
-            result[which]["identified"] = ident[0] if ident else None
-            result[which]["offset"] = ident[1] if ident else None
-            result[which]["status"] = "identified" if ident else "unidentified"
+    cands = [
+        ("U_-1", make_block("Domino", p, t=-1).tower),
+        ("U_0", make_block("Domino", p, t=0).tower),
+        ("U_1", make_block("Domino", p, t=1).tower),
+        ("U_2", make_block("Domino", p, t=2).tower),
+        ("W", make_block("UnitW", p).tower),
+        ("E", Eb.tower),
+        ("0", _ZeroTower(p)),
+    ]
+    for which in ("H-1", "H0"):
+        tower = result[which]["model"]
+        mi, ni = min(m, mv - 1), min(n, nv - 2)
+        if fingerprints_match(tower, _ZeroTower(p), mi, ni):
+            result[which]["identified"] = "0"
+            result[which]["offset"] = 0
+            result[which]["status"] = "identified"
+            continue
+        # explicit isomorphism at a small level; the match must then
+        # agree exactly (normal forms per grading) at the working level
+        ident = identify_block(tower, cands, min(mi, 2), min(ni, 4))
+        if ident is not None:
+            name, off, _ = ident
+            shifted = ShiftDepth(dict(cands)[name], off)
+            if not fingerprints_match(tower, shifted, mi, ni):
+                ident = None
+        result[which]["identified"] = ident[0] if ident else None
+        result[which]["offset"] = ident[1] if ident else None
+        result[which]["status"] = "identified" if ident else "unidentified"
     return result
 
 

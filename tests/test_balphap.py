@@ -11,7 +11,6 @@ from raynaud.balphap import (
     counterexample_object,
     counterexample_report,
     e2_rows01,
-    elliptic_htilde_table,
     report_to_json,
     report_to_markdown,
     resolve_extension,
@@ -125,13 +124,6 @@ def test_markdown_rendering():
     assert "-2" in md and "U_0" in md and "| j\\i |" in md
 
 
-def test_elliptic_table_shape():
-    t = elliptic_htilde_table(2)
-    assert [s.block.label() for s in t[1]] == ["E_1/2"]
-    assert (t[2][0].i, t[2][0].j) == (-1, 1)
-    assert 3 not in t  # dim E = 1: nothing above degree 2
-
-
 def test_counterexample_object_crew_exactness():
     X, twisted, certs = counterexample_object(CFG)
     icfg = InvariantConfig(*CFG.cell_level())
@@ -145,29 +137,6 @@ def test_counterexample_object_crew_exactness():
             + table.T.get((i - 2, j + 2), 0)
         )
         assert again == v
-
-
-def test_kunneth_tilde_h_examples():
-    from raynaud.balphap import StarPair, kunneth_tilde_h
-
-    p = 2
-    tE = elliptic_htilde_table(p)
-    # degree 1 of E x E: two copies of the height block (unit absorbs)
-    t2 = kunneth_tilde_h([tE, tE])
-    deg1 = [s.block.label() for s in t2[1]]
-    assert deg1 == ["E_1/2", "E_1/2"]
-    # degree 0 of any product of these tables is the unit W
-    assert [s.block.label() for s in t2[0]] == ["W"]
-    assert (t2[0][0].i, t2[0][0].j) == (0, 0)
-    # degree 2: E * E plus the two W(-1)[1] ends
-    kinds = sorted(
-        e.label() if isinstance(e, StarPair) else e.block.label() + f"({e.i})[{e.j}]"
-        for e in t2[2]
-    )
-    assert kinds == ["E_1/2 * E_1/2", "W(-1)[1]", "W(-1)[1]"]
-    # triple product degree 0 still collapses to W
-    t3 = kunneth_tilde_h([tE, tE, tE])
-    assert [s.block.label() for s in t3[0]] == ["W"]
 
 
 def test_page_algebra_composites_vanish():

@@ -233,18 +233,3 @@ def test_empty_object_invariants_and_cli(tmp_path, capsys):
     code = main(["invariants", str(f)])
     out, _ = capsys.readouterr()
     assert code == 0
-
-
-def test_kunneth_star_pair_absorbs_unit():
-    from raynaud.balphap import StarPair, elliptic_htilde_table, kunneth_tilde_h
-
-    p = 2
-    tE = elliptic_htilde_table(p)
-    w_table = {0: [Summand(make_block("UnitW", p), -1, 1)]}
-    t3 = kunneth_tilde_h([tE, tE, w_table])
-    # degree 2 entries: the E * E pair picked up the unit's shift on a leg
-    pairs = [e for e in t3[2] if isinstance(e, StarPair)]
-    assert pairs and all(
-        (pr.left.i, pr.left.j) == (-1, 1) or (pr.right.i, pr.right.j) == (-1, 1)
-        for pr in pairs
-    )

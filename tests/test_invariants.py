@@ -16,6 +16,7 @@ from raynaud.blocks import make_block
 from raynaud.formal import FormalObject
 from raynaud.invariants import (
     InvariantConfig,
+    _f_infty_b,
     coeur,
     crew_check,
     domino_number,
@@ -31,6 +32,7 @@ from raynaud.invariants import (
     symmetry_check,
     totalize,
 )
+from raynaud.rmod import Unstable
 
 CFG = InvariantConfig(3, 8, 3)
 
@@ -105,6 +107,18 @@ def test_coeur_fixtures():
     e = make_block("Dieudonne", 2, i=1, j=1)
     ce = coeur(e, 0, InvariantConfig(3, 8, 3))
     assert ce["free_rank"] == 2
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("UnitW", {}), ("Domino", {"t": 0}), ("Dieudonne", {"i": 1, "j": 1})]
+)
+def test_f_infty_b_refuses_an_unstabilized_sum(kind, params):
+    # acceptance needs two agreeing lengths at some s >= 2, out of reach
+    # when the V-depth is n = 1
+    tower = make_block(kind, 2, **params).tower
+    for g in tower.gradings():
+        with pytest.raises(Unstable, match=f"grading {g} .* s <= 1"):
+            _f_infty_b(tower, g, 2, 1)
 
 
 @pytest.mark.parametrize(

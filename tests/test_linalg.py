@@ -15,6 +15,8 @@ from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
 from raynaud.linalg import (
+    LinearSolver,
+    Span,
     ZMod,
     charpoly,
     invert_unimodular,
@@ -122,7 +124,7 @@ def test_kernel_with_target_exponents():
     R = ZMod(2, 3)
     A = R.reduce([[1], [2]])
     # target coordinates mod (2^1, 2^2): x = 0 mod 2 and 2x = 0 mod 4
-    G = kernel_gens(A, R, dst_exps=[1, 2])
+    G = kernel_into(A, Pres.free(R, 1), Pres(R, 2, np.diag([2, 4])))
     assert brute_span_size(G, R) == brute_kernel_size(A, R, dst_exps=[1, 2])
 
 
@@ -378,3 +380,63 @@ def test_mat_pow_mod_matches_naive_product(case):
     for s in range(10):
         assert np.array_equal(mat_pow_mod(A, s, R.q), naive)
         naive = (A @ naive) % R.q
+
+
+# ---------------------------------------------------------------------------
+# membership, solving and kernels against enumeration of every vector of
+# (Z/q)^k: matrices of at most 3 x 3 over Z/q with q <= 9
+
+ENUMERATION = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def tiny_matrices(draw):
+    """(R, A): R = Z/p^m with q = p^m <= 9 and A at most 3 x 3."""
+    p, m = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]))
+    R = ZMod(p, m)
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(0, R.q - 1), min_size=rows * cols, max_size=rows * cols))
+    return R, np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+def brute_span(G, R):
+    """Every vector in the span of the columns of G, as tuples."""
+    G = np.asarray(G) % R.q
+    return {
+        tuple(int(x) for x in (G @ np.array(c, dtype=np.int64)) % R.q)
+        for c in enumerate_vectors(R.q, G.shape[1])
+    }
+
+
+@ENUMERATION
+@given(tiny_matrices(), st.data())
+def test_span_contains_and_member_match_enumeration(case, data):
+    R, G = case
+    span, inside = Span(G, R), brute_span(G, R)
+    for x in enumerate_vectors(R.q, G.shape[0]):
+        assert span.contains(x) == (x in inside)
+    x = data.draw(st.lists(st.integers(0, R.q - 1), min_size=G.shape[0], max_size=G.shape[0]))
+    assert member(G, x, R) == (tuple(x) in inside)
+    assert span.contains_all(np.array([x], dtype=np.int64).T) == (tuple(x) in inside)
+
+
+@ENUMERATION
+@given(tiny_matrices())
+def test_linear_solver_solves_exactly_the_image(case):
+    R, A = case
+    solver, image = LinearSolver(A, R), brute_span(A, R)
+    for b in enumerate_vectors(R.q, A.shape[0]):
+        x = solver.solve(b)
+        assert (x is not None) == (b in image)
+        if x is not None:
+            assert tuple(int(v) for v in (A @ x) % R.q) == b
+
+
+@ENUMERATION
+@given(tiny_matrices())
+def test_kernel_gens_span_the_enumerated_kernel(case):
+    R, A = case
+    kernel = {
+        x for x in enumerate_vectors(R.q, A.shape[1]) if not ((A @ np.array(x)) % R.q).any()
+    }
+    assert brute_span(kernel_gens(A, R), R) == kernel
