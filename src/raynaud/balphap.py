@@ -347,6 +347,7 @@ def assemble_balphap_table(cfg: PipelineConfig):
         "rows01": rows01,
         "row2": ses,
         "extension": {k: v for k, v in ext.items() if k != "H3"},
+        "E2_12": repr(FormalObject(p, 1, ext["H3"])),
         "degeneration": "all differentials into and out of the certified "
         "cells have zero source or target among the computed cells",
     }
@@ -411,7 +412,8 @@ def counterexample_report(cfg: PipelineConfig = None, **kwargs):
     crew = {}
     for i in range(0, 4):
         c = crew_check(X, i, icfg)
-        crew[str(i)] = {"pass": bool(c), "hW_sum": int(c.details["hW_sum"]), "h_sum": int(c.details["h_sum"])}
+        sums = c.details
+        crew[str(i)] = {"pass": bool(c), "hW_sum": int(sums["hW_sum"]), "h_sum": int(sums["h_sum"])}
     # Hodge symmetry holds in total degree <= 2; Serre symmetry pairs the
     # certified cells with degrees > 3 and is only meaningful on complete
     # fixtures, so the report checks the Hodge deltas
@@ -443,7 +445,7 @@ def counterexample_report(cfg: PipelineConfig = None, **kwargs):
                 "E2_01": certs["rows01"]["E2_01"],
                 "E2_21": certs["rows01"]["E2_21"],
                 "E2_02": certs["row2"]["E2_02"],
-                "E2_12": "U_0" if cfg.mode == "paper-nonsplit" else "U_-1 + k(-1)[1]",
+                "E2_12": certs["E2_12"],
             },
             "extension": certs["extension"],
         },

@@ -225,7 +225,8 @@ def cmd_check(args) -> int:
         }
     results["crew"] = crew
     eke = ekedahl_check(obj, cfg)
-    results["ekedahl"] = {"pass": bool(eke), "violations": [list(c) for c in eke.details["violations"]]}
+    violations = [list(c) for c in eke.details["violations"]]
+    results["ekedahl"] = {"pass": bool(eke), "violations": violations}
     sym = symmetry_check(obj, N, cfg)
     results["symmetry"] = {
         "pass": bool(sym),

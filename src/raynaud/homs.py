@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import Pres, ZMod, kernel_gens, quotient_by, subquotient
-from .rmod import Level, Tower, Unstable, _same_span
+from .linalg import Pres, ZMod, kernel_gens, quotient_by
+from .rmod import Level, Tower, stable_pushdown
 
 
 class ShiftDepth(Tower):
@@ -238,18 +238,14 @@ def hom_space(src: Tower, dst: Tower, m: int, n: int):
     are tried in turn; raises Unstable if no two consecutive ones agree.
     """
     amb = _phi_ambient(src, dst, m, n)
-    q = src.p**m
-    prev = None
-    for length in range(2, 6):
-        G, offsets, _ = _chain_solutions(src, dst, m, n, length)
+
+    def bottom_at(k):
+        G, offsets, _ = _chain_solutions(src, dst, m, n, k + 1)
         bottom = sum(nd * ns for (c, _), (_, nd, ns) in offsets.items() if c == 0)
-        G0 = G[:bottom, :] % q
-        exps = subquotient(amb, G0, amb.rels)[0].min_exps()
-        if prev is not None and prev[0] == exps and _same_span(prev[1], G0, amb):
-            basis = _unpack_basis(G0, src, dst, m, n)
-            return HomResult(exps, True, basis, (m, n))
-        prev = (exps, G0)
-    raise Unstable("hom space did not stabilize with chain length <= 5")
+        return G[:bottom, :], amb.R.eye(bottom)
+
+    K, G0 = stable_pushdown(bottom_at, amb, steps=4, what="hom space")
+    return HomResult(K.min_exps(), True, _unpack_basis(G0, src, dst, m, n), (m, n))
 
 
 def _unpack_basis(G0, src, dst, m, n):

@@ -13,12 +13,22 @@ Three routes are implemented and cross-checked:
 * `star_with_R` / `derived_star` -- the four-band decomposition of
   R * M and the two-term resolution of the height blocks by
   multiplication with F^i - V^j, which computes E_(j/i+j) *^L N.
+  `BandModel` is the one band model: `level` gives its pieces (each band
+  copy of M carries M's relations), `matrices` turns a per-label rule
+  into per-grading matrices -- `ops` (V, d, F) and `band_alpha` are such
+  rules -- and `submodel` presents kernels and cokernels as towers.
+  `star_with_R` returns the band counts and that level.
+
+The closed form is kept as an independent oracle of the presentation
+route: the tests compare the two wherever F is bijective on N.
 
 All of this runs at r = 1 (the residue-field degree the whole pipeline
 uses); global sign choices only rescale kernels and cokernels.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -166,197 +176,123 @@ def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule) -> Tower:
 
 
 class StarModel:
-    """The presented model of M * N at depth S, with symbol bookkeeping."""
+    """The presented model of M * N at depth S, with symbol bookkeeping.
+
+    A term (kind, s, gm, x, gn, y, coeff) stands for coeff * kind^s(x * y)
+    with x, y coordinate vectors of M^gm and N^gn, expanded bilinearly over
+    the symbols ("g", s, gm, a, gn, b) = V^s(x_a * y_b) and
+    ("h", s, gm, a, gn, b) = dV^s(x_a * y_b).
+    """
 
     def __init__(self, Mb: BlockModule, Nb: BlockModule, m: int, S: int):
         _require_r1(Mb, Nb)
         self.Mb, self.Nb, self.m, self.S = Mb, Nb, m, S
-        R = ZMod(Mb.p, m)
-        LM = Mb.tower.level(m, S)
-        LN = Nb.tower.level(m, S)
-        self.LM, self.LN, self.R = LM, LN, R
+        R = self.R = ZMod(Mb.p, m)
+        LM = self.LM = Mb.tower.level(m, S)
+        LN = self.LN = Nb.tower.level(m, S)
 
         # generator grid, indexed per output grading
-        self.index = {}
-        labels = {}
+        self.index, self.labels = {}, {}
         for gm in Mb.tower.gradings():
             for gn in Nb.tower.gradings():
-                for a, la in enumerate(LM.piece(gm).labels):
-                    for b, lb in enumerate(LN.piece(gn).labels):
+                for a in range(LM.piece(gm).ngens):
+                    for b in range(LN.piece(gn).ngens):
                         for s in range(S):
-                            g = gm + gn
-                            key = ("g", s, gm, a, gn, b)
-                            self.index[key] = (g, len(labels.setdefault(g, [])))
-                            labels[g].append(key)
+                            self._add(("g", s, gm, a, gn, b), gm + gn)
                         for s in range(1, S):
-                            g = gm + gn + 1
-                            key = ("h", s, gm, a, gn, b)
-                            self.index[key] = (g, len(labels.setdefault(g, [])))
-                            labels[g].append(key)
-        self.labels = labels
-        self.sizes = {g: len(v) for g, v in labels.items()}
-        rel_cols = {g: [] for g in labels}
+                            self._add(("h", s, gm, a, gn, b), gm + gn + 1)
+        self.sizes = {g: len(v) for g, v in self.labels.items()}
 
-        def col(g):
-            return np.zeros(self.sizes[g], dtype=np.int64)
-
-        def add_sym(vec, key, coeff):
-            g, pos = self.index[key]
-            vec[pos] = (vec[pos] + coeff) % R.q
-
-        def sym_expand(vec, kind, s, gm, xvec, gn, yvec, coeff=1):
-            """Accumulate coeff * kind^s(x * y) for coordinate vectors."""
-            for a in np.nonzero(xvec)[0]:
-                for b in np.nonzero(yvec)[0]:
-                    c = (int(xvec[a]) * int(yvec[b]) * coeff) % R.q
-                    if c:
-                        add_sym(vec, (kind, s, gm, int(a), gn, int(b)), c)
-
-        # relation instantiation
-        self.relations = {g: [] for g in labels}
-        FN = {g: LN.F_lift(g) for g in Nb.tower.gradings()}
-        FM = {g: LM.F_lift(g) for g in Mb.tower.gradings()}
-        VN = {g: LN.V(g) for g in Nb.tower.gradings()}
-        VM = {g: LM.V(g) for g in Mb.tower.gradings()}
-        dN = {g: LN.d(g) for g in Nb.tower.gradings()}
-        dM = {g: LM.d(g) for g in Mb.tower.gradings()}
-
-        def unit(nlen, idx):
-            v = np.zeros(nlen, dtype=np.int64)
-            v[idx] = 1
-            return v
-
-        for gm in Mb.tower.gradings():
-            nm = LM.piece(gm).ngens
-            for gn in Nb.tower.gradings():
-                nn = LN.piece(gn).ngens
-                for a in range(nm):
-                    xa = unit(nm, a)
-                    for b in range(nn):
-                        yb = unit(nn, b)
-                        Fy = FN[gn][:, b] if FN[gn].size else np.zeros(0, dtype=np.int64)
-                        Vx = VM[gm][:, a] if VM[gm].size else np.zeros(0, dtype=np.int64)
-                        Fx = FM[gm][:, a] if FM[gm].size else np.zeros(0, dtype=np.int64)
-                        Vy = VN[gn][:, b] if VN[gn].size else np.zeros(0, dtype=np.int64)
-                        for s in range(1, S):
-                            # V^s(x * F y) = V^(s-1)((V x) * y)
-                            vec = col(gm + gn)
-                            sym_expand(vec, "g", s, gm, xa, gn, Fy)
-                            sym_expand(vec, "g", s - 1, gm, Vx, gn, yb, coeff=-1)
-                            if vec.any():
-                                rel_cols[gm + gn].append(vec % R.q)
-                            # V^s((F x) * y) = V^(s-1)(x * (V y))
-                            vec = col(gm + gn)
-                            sym_expand(vec, "g", s, gm, Fx, gn, yb)
-                            sym_expand(vec, "g", s - 1, gm, xa, gn, Vy, coeff=-1)
-                            if vec.any():
-                                rel_cols[gm + gn].append(vec % R.q)
-                            # the d-images of both families
-                            for first, second, sgn in (
-                                ((gm, xa, gn, Fy), (gm, Vx, gn, yb), -1),
-                                ((gm, Fx, gn, yb), (gm, xa, gn, Vy), -1),
-                            ):
-                                vec = col(gm + gn + 1)
-                                self._d_of_vsym(vec, "h", s, *first, sym_expand, 1)
-                                self._d_of_vsym(vec, "h", s - 1, *second, sym_expand, sgn)
-                                if vec.any():
-                                    rel_cols[gm + gn + 1].append(vec % R.q)
-                # module relations of M and N, starred with every generator
-                relM = LM.piece(gm).pres.rels
-                for rc in range(relM.shape[1]):
-                    for b in range(nn):
-                        yb = unit(nn, b)
-                        for s in range(S):
-                            vec = col(gm + gn)
-                            sym_expand(vec, "g", s, gm, relM[:, rc], gn, yb)
-                            if vec.any():
-                                rel_cols[gm + gn].append(vec)
-                            if s >= 1:
-                                vec = col(gm + gn + 1)
-                                sym_expand(vec, "h", s, gm, relM[:, rc], gn, yb)
-                                if vec.any():
-                                    rel_cols[gm + gn + 1].append(vec)
-                relN = LN.piece(gn).pres.rels
-                for rc in range(relN.shape[1]):
-                    for a in range(nm):
-                        xa = unit(nm, a)
-                        for s in range(S):
-                            vec = col(gm + gn)
-                            sym_expand(vec, "g", s, gm, xa, gn, relN[:, rc])
-                            if vec.any():
-                                rel_cols[gm + gn].append(vec)
-                            if s >= 1:
-                                vec = col(gm + gn + 1)
-                                sym_expand(vec, "h", s, gm, xa, gn, relN[:, rc])
-                                if vec.any():
-                                    rel_cols[gm + gn + 1].append(vec)
-
-        # operators
-        self._build_ops(sym_expand, FN, FM, VN, VM, dN, dM)
-        pieces = {}
-        for g, labs in labels.items():
-            rels = (
-                np.stack(rel_cols[g], axis=1) % R.q
-                if rel_cols[g]
-                else R.zeros(self.sizes[g], 0)
-            )
-            pieces[g] = LevelPiece(labs, Pres(R, self.sizes[g], rels))
-        self.model = Level(R, S, pieces, self.opV, self.opd, self.opF, r=1)
-
-    def _d_of_vsym(self, vec, kind, s, gm, xvec, gn, yvec, sym_expand, coeff):
-        """Accumulate coeff * d(V^s(x * y)): h-symbol for s >= 1, else the
-        Leibniz expansion of d(x * y) in plain symbols."""
-        if s >= 1:
-            sym_expand(vec, "h", s, gm, xvec, gn, yvec, coeff)
-        else:
-            LM, LN = self.LM, self.LN
-            dx = LM.d(gm) @ xvec % self.R.q if LM.d(gm).size else np.zeros(0, dtype=np.int64)
-            dy = LN.d(gn) @ yvec % self.R.q if LN.d(gn).size else np.zeros(0, dtype=np.int64)
-            if dx.size:
-                sym_expand(vec, "g", 0, gm + 1, dx, gn, yvec, coeff)
-            if dy.size:
-                sym_expand(vec, "g", 0, gm, xvec, gn + 1, dy, coeff * ((-1) ** gm))
-
-    def _build_ops(self, sym_expand, FN, FM, VN, VM, dN, dM):
-        R = self.R
-        S = self.S
-        self.opV = {g: R.zeros(self.sizes[g], self.sizes[g]) for g in self.sizes}
-        self.opF = {g: R.zeros(self.sizes[g], self.sizes[g]) for g in self.sizes}
-        self.opd = {
-            g: R.zeros(self.sizes.get(g + 1, 0), self.sizes[g]) for g in self.sizes
+        rel_cols = {g: [] for g in self.labels}
+        for g, terms in self._relations():
+            vec = self._vec(g, *terms)
+            if vec.any():
+                rel_cols[g].append(vec)
+        pieces = {
+            g: LevelPiece(labs, Pres(R, len(labs), np.stack(c, axis=1) if c else None))
+            for (g, labs), c in zip(self.labels.items(), rel_cols.values())
         }
-        for key, (g, pos) in self.index.items():
-            kind, s, gm, a, gn, b = key
-            nm, nn = self.LM.piece(gm).ngens, self.LN.piece(gn).ngens
-            xa = np.zeros(nm, dtype=np.int64)
-            xa[a] = 1
-            yb = np.zeros(nn, dtype=np.int64)
-            yb[b] = 1
+        self.model = Level(R, S, pieces, *self._ops(), r=1)
+
+    def _add(self, key, g):
+        self.index[key] = (g, len(self.labels.setdefault(g, [])))
+        self.labels[g].append(key)
+
+    def _vec(self, g, *terms):
+        """The coordinate vector at grading g of a sum of terms."""
+        q = self.R.q
+        vec = np.zeros(self.sizes.get(g, 0), dtype=np.int64)
+        for kind, s, gm, x, gn, y, coeff in terms:
+            ys = y.nonzero()[0]
+            for a in x.nonzero()[0]:
+                for b in ys:
+                    c = (int(x[a]) * int(y[b]) * coeff) % q
+                    if c:
+                        pos = self.index[(kind, s, gm, int(a), gn, int(b))][1]
+                        vec[pos] = (vec[pos] + c) % q
+        return vec
+
+    def _d_terms(self, s, gm, x, gn, y, coeff):
+        """The terms of coeff * d(V^s(x * y)): an h-symbol for s >= 1, else
+        the Leibniz expansion of d(x * y) in plain symbols."""
+        if s >= 1:
+            return [("h", s, gm, x, gn, y, coeff)]
+        q = self.R.q
+        return [
+            ("g", 0, gm + 1, self.LM.d(gm) @ x % q, gn, y, coeff),
+            ("g", 0, gm, x, gn + 1, self.LN.d(gn) @ y % q, coeff * (-1) ** gm),
+        ]
+
+    def _relations(self):
+        """(grading, terms) for each instantiated relation: the defining
+        relations with their d-images, and the module relations of M and N
+        starred with every generator of the other factor."""
+        LM, LN, S = self.LM, self.LN, self.S
+        for gm in self.Mb.tower.gradings():
+            IM = np.eye(LM.piece(gm).ngens, dtype=np.int64)
+            for gn in self.Nb.tower.gradings():
+                IN = np.eye(LN.piece(gn).ngens, dtype=np.int64)
+                g = gm + gn
+                for x, Vx, Fx in zip(IM.T, LM.V(gm).T, LM.F_lift(gm).T):
+                    for y, Vy, Fy in zip(IN.T, LN.V(gn).T, LN.F_lift(gn).T):
+                        # V^s(x * F y) = V^(s-1)((V x) * y) and
+                        # V^s((F x) * y) = V^(s-1)(x * (V y)), with d-images
+                        for (x1, y1), (x2, y2) in (((x, Fy), (Vx, y)), ((Fx, y), (x, Vy))):
+                            for s in range(1, S):
+                                top, bot = (s, gm, x1, gn, y1, 1), (s - 1, gm, x2, gn, y2, -1)
+                                yield g, [("g", *top), ("g", *bot)]
+                                yield g + 1, self._d_terms(*top) + self._d_terms(*bot)
+                pairs = [(r, y) for r in LM.piece(gm).pres.rels.T for y in IN.T]
+                pairs += [(x, r) for r in LN.piece(gn).pres.rels.T for x in IM.T]
+                for x, y in pairs:
+                    for s in range(S):
+                        yield g, [("g", s, gm, x, gn, y, 1)]
+                        if s >= 1:
+                            yield g + 1, [("h", s, gm, x, gn, y, 1)]
+
+    def _ops(self):
+        """V, d and the F-lift on the symbols."""
+        R, p, LM, LN = self.R, self.Mb.p, self.LM, self.LN
+        V = {g: R.zeros(k, k) for g, k in self.sizes.items()}
+        F = {g: R.zeros(k, k) for g, k in self.sizes.items()}
+        d = {g: R.zeros(self.sizes.get(g + 1, 0), k) for g, k in self.sizes.items()}
+        for (kind, s, gm, a, gn, b), (g, pos) in self.index.items():
+            x = np.eye(LM.piece(gm).ngens, dtype=np.int64)[a]
+            y = np.eye(LN.piece(gn).ngens, dtype=np.int64)[b]
+            up = self.index.get((kind, s + 1, gm, a, gn, b))
+            down = self.index.get((kind, s - 1, gm, a, gn, b))
+            if up is not None:
+                V[g][up[1], pos] = 1 if kind == "g" else p
+            if down is not None:
+                F[g][down[1], pos] = p if kind == "g" else 1
+            elif kind == "g":  # F(x * y) = F x * F y
+                Fx, Fy = LM.F_lift(gm)[:, a], LN.F_lift(gn)[:, b]
+                F[g][:, pos] = self._vec(g, ("g", 0, gm, Fx, gn, Fy, 1))
+            else:  # F(dV(x * y)) = d(x * y), the Leibniz expansion
+                F[g][:, pos] = self._vec(g, *self._d_terms(0, gm, x, gn, y, 1))
             if kind == "g":
-                if s + 1 < S:
-                    self.opV[g][self.index[("g", s + 1, gm, a, gn, b)][1], pos] = 1
-                if s == 0:
-                    vec = np.zeros(self.sizes[g], dtype=np.int64)
-                    Fx = FM[gm][:, a]
-                    Fy = FN[gn][:, b]
-                    sym_expand(vec, "g", 0, gm, Fx, gn, Fy)
-                    self.opF[g][:, pos] = vec
-                else:
-                    self.opF[g][self.index[("g", s - 1, gm, a, gn, b)][1], pos] = self.Mb.p
-                vec = np.zeros(self.sizes.get(g + 1, 0), dtype=np.int64)
-                self._d_of_vsym(vec, "h", s, gm, xa, gn, yb, sym_expand, 1)
-                if vec.size:
-                    self.opd[g][:, pos] = vec
-            else:  # h-symbols dV^s(x * y), s >= 1
-                if s + 1 < S:
-                    self.opV[g][self.index[("h", s + 1, gm, a, gn, b)][1], pos] = self.Mb.p
-                if s >= 2:
-                    self.opF[g][self.index[("h", s - 1, gm, a, gn, b)][1], pos] = 1
-                else:
-                    # F(dV(x * y)) = d(x * y), the Leibniz expansion
-                    vec = np.zeros(self.sizes[g], dtype=np.int64)
-                    self._d_of_vsym(vec, "g", 0, gm, xa, gn, yb, sym_expand, 1)
-                    self.opF[g][:, pos] = vec
+                d[g][:, pos] = self._vec(g + 1, *self._d_terms(s, gm, x, gn, y, 1))
+        return V, d, F
 
     def second_factor_map(self, fN):
         """The induced endomorphism id * f for a module map f of N given
@@ -395,60 +331,130 @@ def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int):
 # the four-band decomposition of R * M and the derived star
 
 
+def _terms(kind, a, g, x, coeff=1):
+    """(label, coefficient) pairs for kind_a applied to a coordinate vector x of M^g."""
+    return [((kind, a, g, int(k)), int(x[k]) * coeff) for k in x.nonzero()[0]]
+
+
 class BandModel:
     """R * M at truncation: bands V^a(1*M), F^t*M, dV^a(1*M), F^t d*M.
 
     Labels ("V", a, g, idx), ("Phi", t, g, idx), ("dV", a, g, idx),
     ("Phid", t, g, idx) with 1 <= a < n_v, 0 <= t < f_depth, g a grading
-    of M and idx a generator index of its level piece.
+    of M and idx a generator index of its level piece.  Maps out of the
+    bands are given by rules: rule(kind, a, g, x) returns the image of the
+    label's band applied to the coordinate vector x of M^g as `_terms`.
     """
 
     def __init__(self, Mb: BlockModule, m: int, n_v: int, f_depth: int):
         _require_r1(Mb)
         self.Mb, self.m, self.n_v, self.f_depth = Mb, m, n_v, f_depth
-        R = ZMod(Mb.p, m)
-        self.R = R
-        L = Mb.tower.level(m, n_v + f_depth + 2)
-        self.L = L
-        self.index = {}
-        labels = {}
+        self.R = ZMod(Mb.p, m)
+        self.L = Mb.tower.level(m, n_v + f_depth + 2)
+        self.index, self.labels = {}, {}
         for g in Mb.tower.gradings():
-            ng = L.piece(g).ngens
-            for idx in range(ng):
+            for idx in range(self.L.piece(g).ngens):
                 for a in range(1, n_v):
-                    self._add(labels, ("V", a, g, idx), g)
-                    self._add(labels, ("dV", a, g, idx), g + 1)
+                    self._add(("V", a, g, idx), g)
+                    self._add(("dV", a, g, idx), g + 1)
                 for t in range(f_depth):
-                    self._add(labels, ("Phi", t, g, idx), g)
-                    self._add(labels, ("Phid", t, g, idx), g + 1)
-        self.labels = labels
-        self.sizes = {g: len(v) for g, v in labels.items()}
+                    self._add(("Phi", t, g, idx), g)
+                    self._add(("Phid", t, g, idx), g + 1)
+        self.sizes = {g: len(v) for g, v in self.labels.items()}
 
-    def _add(self, labels, key, g):
-        self.index[key] = (g, len(labels.setdefault(g, [])))
-        labels[g].append(key)
+    def _add(self, key, g):
+        self.index[key] = (g, len(self.labels.setdefault(g, [])))
+        self.labels[g].append(key)
 
-    def vector(self, terms):
-        """A vector per grading from (key, coeff) pairs; keys outside the
-        truncation ranges are dropped (V-range) -- F-range overflow must
-        be handled by the caller via f_depth margins."""
-        out = {g: np.zeros(self.sizes.get(g, 0), dtype=np.int64) for g in self.sizes}
-        for key, coeff in terms:
-            if key in self.index:
-                g, pos = self.index[key]
-                out[g][pos] = (out[g][pos] + coeff) % self.R.q
+    @functools.cached_property
+    def level(self) -> Level:
+        """The bands as a Level without operators: each band copy of M^g
+        carries the relations of M^g."""
+        copies = {}
+        for (kind, a, gm, _), (g, pos) in self.index.items():
+            copies.setdefault((kind, a, gm, g), []).append(pos)
+        cols = {g: [] for g in self.sizes}
+        for (_, _, gm, g), pos in copies.items():
+            rels = self.L.piece(gm).pres.rels
+            block = self.R.zeros(self.sizes[g], rels.shape[1])
+            block[pos] = rels
+            cols[g].append(block)
+        pieces = {
+            g: LevelPiece(self.labels[g], Pres(self.R, self.sizes[g], np.concatenate(c, axis=1)))
+            for g, c in cols.items()
+        }
+        return Level(self.R, self.n_v, pieces, {}, {}, {}, r=1)
+
+    def matrices(self, rule, dst=None, shift=0):
+        """Per-grading matrices (grading g into grading g + shift of dst,
+        by default this model) of a rule; labels that dst does not have
+        are dropped (truncation)."""
+        dst = dst or self
+        q = self.R.q
+        out = {
+            g: self.R.zeros(dst.sizes.get(g + shift, 0), self.sizes.get(g, 0))
+            for g in set(self.sizes) | set(dst.sizes)
+        }
+        units = {g: np.eye(self.L.piece(g).ngens, dtype=np.int64) for g in self.Mb.tower.gradings()}
+        for (kind, a, gm, idx), (g, pos) in self.index.items():
+            col = out[g][:, pos]
+            for key, c in rule(kind, a, gm, units[gm][idx]):
+                hit = dst.index.get(key)
+                if hit is not None and hit[0] == g + shift:
+                    col[hit[1]] = (col[hit[1]] + c) % q
         return out
 
-    def m_op(self, which, g):
-        L = self.L
-        return {"F": L.F_lift(g), "V": L.V(g), "d": L.d(g)}[which]
+    def ops(self):
+        """V, d and the F-lift (valid after projection one V-level down)."""
+        L, p, q = self.L, self.Mb.p, self.R.q
 
-    def expand(self, kind, a, g, vec, coeff=1):
-        """(key, coeff) pairs for kind_a applied to a coordinate vector."""
-        out = []
-        for idx in np.nonzero(vec)[0]:
-            out.append(((kind, a, g, int(idx)), int(vec[idx]) * coeff))
-        return out
+        def V(kind, a, g, x):
+            if kind in ("V", "dV"):
+                return _terms(kind, a + 1, g, x, 1 if kind == "V" else p)
+            if a:
+                return _terms(kind, a - 1, g, L.V(g) @ x % q)
+            if kind == "Phi":
+                return _terms("V", 1, g, x)
+            return _terms("dV", 1, g, x, p) + _terms("V", 1, g + 1, L.d(g) @ x % q, -1)
+
+        def d(kind, a, g, x):
+            if kind == "V":
+                return _terms("dV", a, g, x)
+            if kind == "Phi":
+                return _d_of_phi(self, a, g, x)
+            if kind == "Phid":
+                return _terms("Phid", a, g + 1, L.d(g) @ x % q, -1)
+            return []
+
+        def F(kind, a, g, x):
+            if kind in ("Phi", "Phid"):
+                return _terms(kind, a + 1, g, L.F_lift(g) @ x % q)
+            if kind == "V":
+                return _terms("Phi", 0, g, x, p) if a == 1 else _terms("V", a - 1, g, x, p)
+            if a > 1:
+                return _terms("dV", a - 1, g, x)
+            return _terms("Phid", 0, g, x) + _terms("Phi", 0, g + 1, L.d(g) @ x % q)
+
+        return self.matrices(V), self.matrices(d, shift=1), self.matrices(F)
+
+    def submodel(self, spans, bots=None) -> Tower:
+        """The sub-object spanned per grading by spans[g] -- inside the
+        bands modulo the columns bots[g] when bots is given -- as a tower
+        with the induced operators."""
+        pieces = self.level.pieces
+        if bots is not None:
+            pieces = {
+                g: LevelPiece(self.labels[g], quotient_by(self.level.piece(g).pres, bot))
+                for g, bot in bots.items()
+            }
+        amb = Level(self.R, self.n_v, pieces, *self.ops(), r=1)
+        return ModelTower(sub_level(amb, spans), self.Mb.p, depth_margin=1)
+
+
+def _d_of_phi(band: BandModel, t, g, x):
+    """d(F^t * x) = p^t F^t d * x + F^t * dx."""
+    dx = band.L.d(g) @ x % band.R.q
+    return _terms("Phid", t, g, x, band.Mb.p**t) + _terms("Phi", t, g + 1, dx)
 
 
 def band_alpha(E_params, band: BandModel):
@@ -457,128 +463,49 @@ def band_alpha(E_params, band: BandModel):
     Returns per-grading matrices from this band model into a band model
     with f_depth + i (the F-index can rise by i)."""
     i, j = E_params
-    src = band
+    p, q, L = band.Mb.p, band.R.q, band.L
     dst = BandModel(band.Mb, band.m, band.n_v, band.f_depth + i)
-    R = band.R
-    p = band.Mb.p
-    L = band.L
-    mats = {
-        g: R.zeros(dst.sizes.get(g, 0), src.sizes.get(g, 0)) for g in set(src.sizes) | set(dst.sizes)
-    }
 
-    for key, (g, pos) in src.index.items():
-        kind, a, gm, idx = key
-        nm = L.piece(gm).ngens
-        x = np.zeros(nm, dtype=np.int64)
-        x[idx] = 1
-        terms = []
+    @functools.cache
+    def power(op, g, s):
+        return mat_pow_mod(getattr(L, op)(g), s, q)
+
+    def rule(kind, a, g, x):
         if kind == "Phi":
-            t = a
-            terms += dst.expand("Phi", t + i, gm, x)
-            if t >= j:
-                terms += dst.expand("Phi", t - j, gm, (-(p**j) * x) % R.q)
+            if a >= j:
+                terms = _terms("Phi", a - j, g, x, -(p**j))
             else:
-                Fx = (mat_pow_mod(band.m_op("F", gm), j - t, R.q) @ x) % R.q
-                terms += dst.expand("V", j - t, gm, (-(p**t) * Fx) % R.q)
-        elif kind == "V":
-            if a <= i:
-                Vax = (mat_pow_mod(band.m_op("V", gm), a, R.q) @ x) % R.q
-                terms += dst.expand("Phi", i - a, gm, Vax)
-            else:
-                Vix = (mat_pow_mod(band.m_op("V", gm), i, R.q) @ x) % R.q
-                terms += dst.expand("V", a - i, gm, Vix)
-            Fjx = (mat_pow_mod(band.m_op("F", gm), j, R.q) @ x) % R.q
-            terms += dst.expand("V", a + j, gm, (-Fjx) % R.q)
-        elif kind == "dV":
-            # alpha(dV^a(1*x)) = d(alpha(V^a(1*x))): push the V-case through d
-            if a <= i:
-                Vax = (mat_pow_mod(band.m_op("V", gm), a, R.q) @ x) % R.q
-                terms += _d_of_phi(dst, i - a, gm, Vax, band)
-            else:
-                Vix = (mat_pow_mod(band.m_op("V", gm), i, R.q) @ x) % R.q
-                terms += dst.expand("dV", a - i, gm, Vix)
-            Fjx = (mat_pow_mod(band.m_op("F", gm), j, R.q) @ x) % R.q
-            terms += dst.expand("dV", a + j, gm, (-Fjx) % R.q)
-        elif kind == "Phid":
+                terms = _terms("V", j - a, g, power("F_lift", g, j - a) @ x % q, -(p**a))
+            return _terms("Phi", a + i, g, x) + terms
+        if kind == "Phid":
             # F^t d (F^i - V^j) = p^i F^(t+i) d - (F^(t-j) d | d V^(j-t))
-            t = a
-            terms += dst.expand("Phid", t + i, gm, (p**i * x) % R.q)
-            if t >= j:
-                terms += dst.expand("Phid", t - j, gm, (-x) % R.q)
+            if a >= j:
+                terms = _terms("Phid", a - j, g, x, -1)
             else:
                 # (dV^s) * x = dV^s(1 * F^s x) - V^s(1 * F^s d x)
-                s = j - t
-                Fsx = (mat_pow_mod(band.m_op("F", gm), s, R.q) @ x) % R.q
-                terms += dst.expand("dV", s, gm, (-Fsx) % R.q)
-                Fsdx = (mat_pow_mod(band.m_op("F", gm + 1), s, R.q) @ band.m_op("d", gm) @ x) % R.q
-                terms += dst.expand("V", s, gm + 1, Fsdx)
-        vec = dst.vector(terms)
-        gg = g
-        if dst.sizes.get(gg, 0) and src.sizes.get(gg, 0):
-            mats[gg][:, pos] = vec[gg]
-    return dst, mats
+                s = j - a
+                terms = _terms("dV", s, g, power("F_lift", g, s) @ x % q, -1)
+                terms += _terms("V", s, g + 1, power("F_lift", g + 1, s) @ L.d(g) @ x % q)
+            return _terms("Phid", a + i, g, x, p**i) + terms
+        # V^a and dV^a; alpha(dV^a(1*x)) = d(alpha(V^a(1*x))), the V-case pushed through d
+        Vx = power("V", g, min(a, i)) @ x % q
+        if a > i:
+            terms = _terms(kind, a - i, g, Vx)
+        elif kind == "V":
+            terms = _terms("Phi", i - a, g, Vx)
+        else:
+            terms = _d_of_phi(band, i - a, g, Vx)
+        return terms + _terms(kind, a + j, g, power("F_lift", g, j) @ x % q, -1)
 
-
-def _d_of_phi(dst: BandModel, t, gm, xvec, band: BandModel):
-    """d(F^t * x) = p^t F^t d * x + F^t * dx."""
-    p = band.Mb.p
-    terms = dst.expand("Phid", t, gm, (p**t) * xvec % band.R.q)
-    dx = (band.m_op("d", gm) @ xvec) % band.R.q
-    terms += dst.expand("Phi", t, gm + 1, dx)
-    return terms
-
-
-def band_level(band: BandModel) -> Level:
-    """The band model as a Level (used for presentations of kernels)."""
-    R = band.R
-    pieces = {
-        g: LevelPiece(band.labels[g], Pres(R, band.sizes[g], _band_rels(band, g)))
-        for g in band.sizes
-    }
-    return Level(R, band.n_v, pieces, {}, {}, {}, r=1)
-
-
-def _band_rels(band: BandModel, g):
-    """Coefficient relations: each band copy inherits M's relations."""
-    R = band.R
-    cols = []
-    L = band.L
-    # group labels by (kind, index, grading) and transfer M's relation columns
-    groups = {}
-    for key, (gg, pos) in band.index.items():
-        if gg != g:
-            continue
-        kind, a, gm, idx = key
-        groups.setdefault((kind, a, gm), {})[idx] = pos
-    for (kind, a, gm), posmap in groups.items():
-        rels = L.piece(gm).pres.rels
-        for rc in range(rels.shape[1]):
-            vec = np.zeros(band.sizes[g], dtype=np.int64)
-            used = False
-            for idx, c in enumerate(rels[:, rc]):
-                if c and idx in posmap:
-                    vec[posmap[idx]] = c % R.q
-                    used = True
-            if used:
-                cols.append(vec)
-    return np.stack(cols, axis=1) % R.q if cols else R.zeros(band.sizes[g], 0)
+    return dst, band.matrices(rule, dst)
 
 
 def star_with_R(Mb: BlockModule, m: int, n: int):
     """The four-band decomposition of R * M at V-depth n, with n F-bands
     (completed: V-bands are products, which truncation renders finite)."""
-    band = BandModel(Mb, m, n, n)
-    counts = {
-        "V": n - 1,
-        "dV": n - 1,
-        "Phi": n,
-        "Phid": n,
-    }
     return {
-        "bands": counts,
-        "model": band,
-        "level": band_level(band),
-        "per_band_module": Mb.label(),
+        "bands": {"V": n - 1, "dV": n - 1, "Phi": n, "Phid": n},
+        "level": BandModel(Mb, m, n, n).level,
     }
 
 
@@ -598,93 +525,62 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
         raise ValueError("derived star is implemented along the height-block resolution")
     i, j = Eb.params["i"], Eb.params["j"]
     p = Eb.p
-
-    def kernels_at(mm, nv, f):
-        src = BandModel(Nb, mm, nv, f)
-        dst, mats = band_alpha((i, j), src)
-        Lsrc, Ldst = band_level(src), band_level(dst)
-        out_k = {}
-        for g in sorted(src.sizes):
-            A = mats.get(g)
-            if A is None or not src.sizes.get(g, 0):
-                continue
-            out_k[g] = (kernel_into(A, Lsrc.piece(g).pres, Ldst.piece(g).pres), Lsrc.piece(g), src)
-        return out_k, src, dst
-
-    nv = n + 3
-    mv = m + 1
-    f0 = max(i + j + 2, 4)
-
-    # kernel: stabilize in the F-direction, then push down the (m, n) chain
-    def f_stable_kernel(mm, nvv):
-        prev = None
-        for f in range(f0, f0 + 6):
-            k, src, dst = kernels_at(mm, nvv, f)
-            if prev is not None and _bands_agree(prev[0], k, prev[1], src):
-                return k, src, f
-            prev = (k, src)
-        raise Unstable("derived star kernel did not stabilize in the F-band direction")
+    nv, mv, f0 = n + 3, m + 1, max(i + j + 2, 4)
 
     # truncation phantoms of the kernel can take about 2m chain steps to
     # reach valuation m (their anchor drifts with the V-depth), so the
     # pushdown chain is sized accordingly; it exits early when stable
-    chain = {}
-
+    @functools.cache
     def chain_at(k):
-        if k not in chain:
-            chain[k] = f_stable_kernel(mv + k, nv + k)
-        return chain[k]
+        """The kernels {g: K} of alpha at chain step k, stabilized in the
+        F-band direction, with their band model."""
+        prev = None
+        for f in range(f0, f0 + 6):
+            src = BandModel(Nb, mv + k, nv + k, f)
+            dst, mats = band_alpha((i, j), src)
+            K = {
+                g: kernel_into(mats[g], src.level.piece(g).pres, dst.level.piece(g).pres)
+                for g in sorted(src.sizes)
+            }
+            if prev is not None and _bands_agree(*prev, K, src):
+                return K, src
+            prev = (K, src)
+        raise Unstable("derived star kernel did not stabilize in the F-band direction")
 
-    k0, src0, f = chain_at(0)
+    K0, src0 = chain_at(0)
     stable_k = {}
-    for g, (K0, piece0, _) in k0.items():
-        base = piece0.pres
+    for g in K0:
 
-        def gens_at(step, _g=g):
-            kk, srck, _fk = chain_at(step)
-            Kk = kk[_g][0]
-            P = _band_select(srck, src0, _g)
-            return Kk, P
+        def gens_at(k, g=g):
+            K, src = chain_at(k)
+            return K[g], _band_select(src, src0, g)
 
-        Kst, Kgens = stable_pushdown(
-            gens_at, base, steps=2 * mv + 4, what="derived-star kernel"
-        )
-        stable_k[g] = Kgens
-    hminus = _band_submodel(src0, stable_k)
+        base = src0.level.piece(g).pres
+        _, stable_k[g] = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
+    hminus = src0.submodel(stable_k)
 
     # cokernel: image of the transition coker_f -> coker_(f + step).  The
     # step exceeds the band shifts so top-of-band classes can die, plus a
     # 2m margin so the induced operators on the image remain expressible
     # (classes like F^t d * x descend p-adically two indices per p-power)
-    prev = None
-    hzero = None
+    prev = hzero = None
     step = i + j + 2 * mv + 2
     for fc in range(f0, f0 + 8):
         srcB = BandModel(Nb, mv, nv, fc + step)
         dstA = BandModel(Nb, mv, nv, fc + i)
         dstB, matsB = band_alpha((i, j), srcB)
-        stats = {}
-        gens_by_g = {}
-        LdB = band_level(dstB)
-        for g in sorted(dstA.sizes):
-            inc = _band_select(dstA, dstB, g)
-            imB = matsB.get(g, None)
-            bot = imB if imB is not None else LdB.R.zeros(dstB.sizes.get(g, 0), 0)
-            S, _ = subquotient(LdB.piece(g).pres, inc, bot)
-            stats[g] = S.min_exps()
-            gens_by_g[g] = (inc, bot)
-        if prev is not None and prev == stats:
-            hzero = _band_image_model(dstB, gens_by_g)
+        incs = {g: _band_select(dstA, dstB, g) for g in sorted(dstA.sizes)}
+        stats = {
+            g: subquotient(dstB.level.piece(g).pres, inc, matsB[g])[0].min_exps()
+            for g, inc in incs.items()
+        }
+        if prev == stats:
+            hzero = dstB.submodel(incs, bots={g: matsB[g] for g in incs})
             break
         prev = stats
     if hzero is None:
         raise Unstable("derived star cokernel did not stabilize in the F-band direction")
 
-    result = {
-        "H-1": {"model": hminus, "exps": _model_exps(hminus)},
-        "H0": {"model": hzero, "exps": _model_exps(hzero)},
-        "f_depth": f,
-    }
     cands = [
         ("U_-1", make_block("Domino", p, t=-1).tower),
         ("U_0", make_block("Domino", p, t=0).tower),
@@ -692,27 +588,23 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
         ("U_2", make_block("Domino", p, t=2).tower),
         ("W", make_block("UnitW", p).tower),
         ("E", Eb.tower),
-        ("0", _ZeroTower(p)),
     ]
-    for which in ("H-1", "H0"):
-        tower = result[which]["model"]
-        mi, ni = min(m, mv - 1), min(n, nv - 2)
-        if fingerprints_match(tower, _ZeroTower(p), mi, ni):
-            result[which]["identified"] = "0"
-            result[which]["offset"] = 0
-            result[which]["status"] = "identified"
+    result = {}
+    for which, tower in (("H-1", hminus), ("H0", hzero)):
+        entry = result[which] = {"model": tower, "exps": _model_exps(tower)}
+        if fingerprints_match(tower, _ZeroTower(p), m, n):
+            entry.update(identified="0", offset=0, status="identified")
             continue
         # explicit isomorphism at a small level; the match must then
         # agree exactly (normal forms per grading) at the working level
-        ident = identify_block(tower, cands, min(mi, 2), min(ni, 4))
+        ident = identify_block(tower, cands, min(m, 2), min(n, 4))
         if ident is not None:
             name, off, _ = ident
-            shifted = ShiftDepth(dict(cands)[name], off)
-            if not fingerprints_match(tower, shifted, mi, ni):
+            if not fingerprints_match(tower, ShiftDepth(dict(cands)[name], off), m, n):
                 ident = None
-        result[which]["identified"] = ident[0] if ident else None
-        result[which]["offset"] = ident[1] if ident else None
-        result[which]["status"] = "identified" if ident else "unidentified"
+        entry["identified"] = ident[0] if ident else None
+        entry["offset"] = ident[1] if ident else None
+        entry["status"] = "identified" if ident else "unidentified"
     return result
 
 
@@ -728,18 +620,12 @@ class _ZeroTower(Tower):
         return ZMod(self.p, lo[0]).zeros(0, 0)
 
 
-def _bands_agree(k1, k2, src1, src2):
+def _bands_agree(k1, src1, k2, src2):
     for g in set(k1) | set(k2):
-        K1 = k1.get(g, (None,))[0]
-        K2 = k2.get(g, (None,))[0]
-        if K1 is None or K2 is None:
-            if (K1 is None) != (K2 is None):
-                return False
-            continue
-        inc = _band_select(src1, src2, g)
-        K1_in_2 = (inc @ K1) % src2.R.q
-        amb2 = band_level(src2).piece(g).pres
-        if not _same_span(K1_in_2, K2, amb2):
+        if g not in k1 or g not in k2:
+            return False
+        K1_in_2 = (_band_select(src1, src2, g) @ k1[g]) % src2.R.q
+        if not _same_span(K1_in_2, k2[g], src2.level.piece(g).pres):
             return False
     return True
 
@@ -752,103 +638,6 @@ def _band_select(src: BandModel, dst: BandModel, g):
         if gg == g and key in dst.index:
             M[dst.index[key][1], pos] = 1
     return M
-
-
-def _band_image_model(dstB: BandModel, gens_by_g) -> Tower:
-    """Cokernel model: the image of the band inclusion inside X/(im alpha).
-
-    gens_by_g[g] is (inc, bot): the included columns and the image of
-    alpha at grading g."""
-    LB = band_level(dstB)
-    pieces = {
-        g: LevelPiece(LB.piece(g).labels, quotient_by(LB.piece(g).pres, bot))
-        for g, (_, bot) in gens_by_g.items()
-    }
-    quot = Level(dstB.R, dstB.n_v, pieces, *_band_ops(dstB), r=1)
-    model = sub_level(quot, {g: inc for g, (inc, _) in gens_by_g.items()})
-    return ModelTower(model, dstB.Mb.p, depth_margin=1)
-
-
-def _band_submodel(band: BandModel, kernel_gens) -> Tower:
-    """The kernel as a standalone tower (model with induced operators)."""
-    L = band_level(band)
-    amb = Level(band.R, band.n_v, L.pieces, *_band_ops(band), r=1)
-    spans = {g: kernel_gens.get(g, band.R.zeros(band.sizes[g], 0)) for g in band.sizes}
-    return ModelTower(sub_level(amb, spans), band.Mb.p, depth_margin=1)
-
-
-def _band_ops(band: BandModel):
-    """V, d, F-lift on the band model (per-grading matrices)."""
-    R = band.R
-    p = band.Mb.p
-    opV = {g: R.zeros(band.sizes.get(g, 0), band.sizes.get(g, 0)) for g in band.sizes}
-    opF = {g: R.zeros(band.sizes.get(g, 0), band.sizes.get(g, 0)) for g in band.sizes}
-    opd = {g: R.zeros(band.sizes.get(g + 1, 0), band.sizes.get(g, 0)) for g in band.sizes}
-    L = band.L
-    for key, (g, pos) in band.index.items():
-        kind, a, gm, idx = key
-        nm = L.piece(gm).ngens
-        x = np.zeros(nm, dtype=np.int64)
-        x[idx] = 1
-        # V action
-        terms = []
-        if kind == "V":
-            terms = band.expand("V", a + 1, gm, x)
-        elif kind == "Phi":
-            if a == 0:
-                terms = band.expand("V", 1, gm, x)
-            else:
-                Vx = (band.m_op("V", gm) @ x) % R.q
-                terms = band.expand("Phi", a - 1, gm, Vx)
-        elif kind == "dV":
-            terms = band.expand("dV", a + 1, gm, p * x % R.q)
-        elif kind == "Phid":
-            if a == 0:
-                dx = (band.m_op("d", gm) @ x) % R.q
-                terms = band.expand("dV", 1, gm, p * x % R.q) + band.expand(
-                    "V", 1, gm + 1, (-dx) % R.q
-                )
-            else:
-                Vx = (band.m_op("V", gm) @ x) % R.q
-                terms = band.expand("Phid", a - 1, gm, Vx)
-        vec = band.vector(terms)
-        if band.sizes.get(g, 0):
-            opV[g][:, pos] = vec[g]
-        # F action (lift; valid after projection one V-level down)
-        terms = []
-        if kind == "V":
-            if a == 1:
-                terms = band.expand("Phi", 0, gm, p * x % R.q)
-            else:
-                terms = band.expand("V", a - 1, gm, p * x % R.q)
-        elif kind == "Phi":
-            Fx = (band.m_op("F", gm) @ x) % R.q
-            terms = band.expand("Phi", a + 1, gm, Fx)
-        elif kind == "dV":
-            if a == 1:
-                dx = (band.m_op("d", gm) @ x) % R.q
-                terms = band.expand("Phid", 0, gm, x) + band.expand("Phi", 0, gm + 1, dx)
-            else:
-                terms = band.expand("dV", a - 1, gm, x)
-        elif kind == "Phid":
-            Fx = (band.m_op("F", gm) @ x) % R.q
-            terms = band.expand("Phid", a + 1, gm, Fx)
-        vec = band.vector(terms)
-        if band.sizes.get(g, 0):
-            opF[g][:, pos] = vec[g]
-        # d action
-        terms = []
-        if kind == "V":
-            terms = band.expand("dV", a, gm, x)
-        elif kind == "Phi":
-            terms = _d_of_phi(band, a, gm, x, band)
-        elif kind == "Phid":
-            dx = (band.m_op("d", gm) @ x) % R.q
-            terms = band.expand("Phid", a, gm + 1, (-dx) % R.q)
-        vec = band.vector(terms)
-        if band.sizes.get(g + 1, 0):
-            opd[g][:, pos] = vec[g + 1]
-    return opV, opd, opF
 
 
 def _model_exps(tower: Tower, m=2, n=4):

@@ -158,13 +158,13 @@ def test_derived_star_key_computation():
 def test_derived_star_kernel_bands_match_displayed_decomposition():
     """Grading 0 of the kernel is the V-band; grading 1 is the dV-band
     plus the bottom F^0 d slot."""
-    from raynaud.star import BandModel, band_alpha, band_level
+    from raynaud.star import BandModel, band_alpha
     from raynaud.linalg import kernel_into, Span
 
     d = make_block("DAlphaP", P)
     src = BandModel(d, 2, 6, 5)
     dst, mats = band_alpha((1, 1), src)
-    Ls, Ld = band_level(src), band_level(dst)
+    Ls, Ld = src.level, dst.level
     for g, expected_kinds in [(0, {("V",)}), (1, {("dV",), ("Phid", 0)})]:
         K = kernel_into(mats[g], Ls.piece(g).pres, Ld.piece(g).pres)
         labs = Ls.piece(g).labels
@@ -177,6 +177,28 @@ def test_derived_star_kernel_bands_match_displayed_decomposition():
                 kind, a, gm, ii = labs[idx]
                 kinds.add((kind,) if kind != "Phid" else ("Phid", a))
         assert kinds == expected_kinds
+
+
+@pytest.mark.parametrize("p, t", [(3, 0), (3, -1), (5, 1)])
+def test_band_operators_satisfy_ring_relations(p, t):
+    """dd = 0, Vd = p dV, FdV = d and FV = VF = p on the band model of a
+    domino, where d is nonzero, on the labels a smaller band model has
+    (the operators stay inside the truncation ranges there)."""
+    from raynaud.star import BandModel, _band_select
+
+    U = make_block("Domino", p, t=t)
+    big, small = BandModel(U, 2, 8, 7), BandModel(U, 2, 4, 3)
+    V, d, F = big.ops()
+    for g in small.sizes:
+        S = _band_select(small, big, g)
+        checks = [(g, F[g] @ V[g] @ S - p * S), (g, V[g] @ F[g] @ S - p * S)]
+        if g + 1 in big.sizes:
+            checks.append((g + 1, V[g + 1] @ d[g] @ S - p * d[g] @ V[g] @ S))
+            checks.append((g + 1, F[g + 1] @ d[g] @ V[g] @ S - d[g] @ S))
+        if g + 2 in big.sizes:
+            checks.append((g + 2, d[g + 1] @ d[g] @ S))
+        for h, A in checks:
+            assert big.level.piece(h).pres.rel_span().contains_all(A % big.R.q), (g, h)
 
 
 def test_derived_star_with_unit():
