@@ -226,24 +226,14 @@ def newton_slopes_from_charpoly(coeffs, R: ZMod):
             else:
                 break
         hull.append(pt)
-    # points of unknown valuation must lie on or above the hull
-    for t, v, ok in pts:
-        if not ok:
-            hull_y = _hull_value(hull, t)
-            if hull_y > R.m:
-                raise Unstable("Newton polygon not certified at this precision")
+    # Points of unknown valuation (>= m) need no check: the hull lies on
+    # or below the chord from (0, v_0) to (deg, val(det)), both of whose
+    # end values are below m, so every such point lies above the hull.
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         lam = Fraction(y2 - y1, x2 - x1)
         slopes.extend([lam] * (x2 - x1))
     return slopes
-
-
-def _hull_value(hull, x):
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            return Fraction(y1) + Fraction(y2 - y1, x2 - x1) * (x - x1)
-    return Fraction(0)
 
 
 def _slope_depth(block: BlockModule, m):

@@ -65,14 +65,13 @@ class Level:
         self.opV = V  # dict grading -> self matrix
         self.opd = d  # dict grading -> matrix into grading + 1
         self.opF = F  # dict grading -> lift matrix (true map = proj @ F)
+        self._empty = LevelPiece([], Pres(R, 0))  # shared by every absent grading
 
     def gradings(self):
         return sorted(self.pieces)
 
     def piece(self, i) -> LevelPiece:
-        if i in self.pieces:
-            return self.pieces[i]
-        return LevelPiece([], Pres(self.R, 0))
+        return self.pieces.get(i, self._empty)
 
     def mat(self, table, i, rows_piece=None):
         """Operator matrix with correct shape even for absent gradings."""
@@ -405,14 +404,8 @@ class SumTower(Tower):
                 labels.extend((k, lab) for lab in pc.labels)
                 rel_blocks.append(pc.pres.rels)
                 sizes.append(pc.ngens)
-            total = sum(sizes)
-            rels = R.zeros(total, sum(b.shape[1] for b in rel_blocks))
-            ro = co = 0
-            for b, s in zip(rel_blocks, sizes):
-                rels[ro : ro + s, co : co + b.shape[1]] = b
-                ro += s
-                co += b.shape[1]
-            pieces[i] = LevelPiece(labels, Pres(R, total, rels))
+            rels = _blockdiag(R, rel_blocks, rows=sizes)
+            pieces[i] = LevelPiece(labels, Pres(R, sum(sizes), rels))
             V[i] = _blockdiag(R, [t.level(m, n).V(i + a) for t, a in self.summands])
             F[i] = _blockdiag(R, [t.level(m, n).F_lift(i + a) for t, a in self.summands])
             d[i] = _blockdiag(

@@ -26,12 +26,14 @@ from raynaud.invariants import (
     mazur_ogus_check,
     newton_hodge_polygon,
     newton_slopes,
+    newton_slopes_from_charpoly,
     r1_tensor,
     rn_tensor_block,
     slope_numbers,
     symmetry_check,
     totalize,
 )
+from raynaud.linalg import ZMod
 from raynaud.rmod import Unstable
 
 CFG = InvariantConfig(3, 8, 3)
@@ -149,6 +151,23 @@ def test_newton_slopes_match_block_metadata():
         b = make_block(kind, 3, **params)
         computed = dict(newton_slopes(b, 0, CFG))
         assert computed == b.slopes
+
+
+@pytest.mark.parametrize(
+    "coeffs,expect",
+    [
+        ([1, 0, 2], [Fraction(1, 2)] * 2),  # middle coefficient uncertified
+        ([1, 1, 2], [Fraction(0), Fraction(1)]),
+        ([1, 0, 0, 2], [Fraction(1, 3)] * 3),
+    ],
+)
+def test_newton_slopes_from_charpoly(coeffs, expect):
+    assert newton_slopes_from_charpoly(coeffs, ZMod(2, 3)) == expect
+
+
+def test_newton_slopes_from_charpoly_refuses_uncertified_determinant():
+    with pytest.raises(Unstable):
+        newton_slopes_from_charpoly([1, 0, 8], ZMod(2, 3))
 
 
 def test_rn_tensor_of_unit_is_wn():

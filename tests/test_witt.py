@@ -10,12 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from raynaud import witt
 from raynaud.witt import (
     FiniteField,
     GaloisRing,
     IncompatibleParameters,
     WittRing,
-    eval_witt_polynomial,
     frobenius,
     teichmuller,
     valuation,
@@ -23,8 +23,6 @@ from raynaud.witt import (
     witt_add,
     witt_mul,
     witt_neg,
-    witt_product_polynomials,
-    witt_sum_polynomials,
 )
 
 
@@ -194,21 +192,6 @@ def test_parameter_mismatch():
         witt_mul(a, WittRing(2, 1, 2).zero())
 
 
-@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 2)])
-def test_expanded_polynomials_match_recursion(p, m):
-    sums = witt_sum_polynomials(p, m)
-    prods = witt_product_polynomials(p, m)
-    ring = WittRing(p, 1, m)
-    rng = np.random.default_rng(9)
-    for _ in range(40):
-        a, b = ring.random(rng), ring.random(rng)
-        s = witt_add(a, b)
-        pr = witt_mul(a, b)
-        for n in range(m):
-            assert eval_witt_polynomial(sums[n], a, b) == s.components[n]
-            assert eval_witt_polynomial(prods[n], a, b) == pr.components[n]
-
-
 def test_high_precision_arithmetic_is_fast_and_consistent():
     # m = 8 is the pipeline default; spot-check against integer arithmetic
     ring = WittRing(2, 1, 8)
@@ -240,3 +223,13 @@ def test_sigma_matrix_invertible_and_order():
     Sinv = gr.sigma_matrix(inverse=True)
     q = 8
     assert np.array_equal((S @ Sinv) % q, np.eye(2, dtype=np.int64))
+
+
+def test_stored_moduli_irreducible_and_reducible_ones_refused(monkeypatch):
+    for p, r in witt._MODULI:
+        assert FiniteField(p, r).modulus == witt._MODULI[(p, r)]
+    # x^2 + 1 = (x + 1)^2 over F_2; (x^2 + 1)^2 over F_3 has no linear factor
+    for (p, r), reducible in [((2, 2), (1, 0, 1)), ((3, 4), (1, 0, 2, 0, 1))]:
+        monkeypatch.setitem(witt._MODULI, (p, r), reducible)
+        with pytest.raises(AssertionError, match="reducible"):
+            FiniteField(p, r)
