@@ -151,8 +151,8 @@ def cmd_star(args) -> int:
             return EXIT_PARSE
         res = derived_star(a, b, min(m, 3), min(n, 8))
         payload = {
-            "H-1": res["H-1"]["identified"] or "unidentified",
-            "H0": res["H0"]["identified"] or "unidentified",
+            "H-1": res["H-1"]["identified"] or res["H-1"]["status"],
+            "H0": res["H0"]["identified"] or res["H0"]["status"],
             "H-1_presentation": {str(g): e for g, e in res["H-1"]["exps"].items()},
             "H0_presentation": {str(g): e for g, e in res["H0"]["exps"].items()},
         }

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .linalg import Pres, ZMod, kernel_gens, quotient_by
-from .rmod import Level, Tower, stable_pushdown
+from .rmod import Level, Tower, Unstable, stable_pushdown
 
 
 class ShiftDepth(Tower):
@@ -291,14 +291,23 @@ def is_isomorphism_at(phi, src: Tower, dst: Tower, m, n) -> bool:
     return True
 
 
+class SearchExhausted(Unstable):
+    """Every candidate of an isomorphism search failed, so whether the
+    two towers are isomorphic is left undecided."""
+
+
 def find_isomorphism(src: Tower, dst: Tower, m, n):
     """A tower hom invertible at both levels of a length-2 chain, or None.
 
     Phantom homs are harmless here: any solution that is invertible at
     (m, n) and whose chain partner is invertible at the level above is
     an isomorphism of the truncations in the tower sense.  The candidates
-    are the solution columns, then 40 random combinations of them (a
-    fixed seed, so the search is reproducible).
+    are 40 random combinations of the solution columns (a fixed seed, so
+    the search is reproducible), then the columns themselves.
+
+    None is a decided answer: the per-grading normal forms differ at a
+    chain level, or there is no nonzero chain solution.  When every
+    candidate fails, SearchExhausted is raised instead.
     """
     G, offsets, levels = _chain_solutions(src, dst, m, n, 2)
     if not G.any():
@@ -306,10 +315,8 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
     rng = np.random.default_rng(0)
     qb = src.p ** max(mc for mc, _ in levels)
     ncand = G.shape[1]
-    vectors = [G[:, c] for c in range(ncand)]
-    for _ in range(40):
-        coeffs = rng.integers(0, qb, size=ncand)
-        vectors.append((G @ coeffs) % qb)
+    vectors = [(G @ rng.integers(0, qb, size=ncand)) % qb for _ in range(40)]
+    vectors += [G[:, c] for c in range(ncand)]
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
     for vec in vectors:
         phis = []
@@ -323,7 +330,12 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
             phis.append(mats)
         else:
             return phis[0]
-    return None
+    if not fingerprints_match(dst, src, m, n):
+        return None
+    raise SearchExhausted(
+        f"isomorphism search exhausted: none of {len(vectors)} candidates is invertible "
+        f"at the levels {levels}"
+    )
 
 
 def identify_block(model: Tower, candidates, m, n):
@@ -332,7 +344,10 @@ def identify_block(model: Tower, candidates, m, n):
     candidates: list of (name, tower).  Returns (name, offset, phi) for
     the first candidate isomorphic to the model at matched levels, or
     None.  Dimension fingerprints cut the search before any hom solve.
+    A candidate whose search is exhausted is passed over; if no other
+    one is identified, that SearchExhausted is raised.
     """
+    exhausted = None
     for name, tower in candidates:
         for off in (0, -1, 1, -2, 2):
             if n + off < 2:
@@ -340,9 +355,15 @@ def identify_block(model: Tower, candidates, m, n):
             shifted = ShiftDepth(tower, off)
             if not fingerprints_match(model, shifted, m, n):
                 continue
-            phi = find_isomorphism(shifted, model, m, n)
+            try:
+                phi = find_isomorphism(shifted, model, m, n)
+            except SearchExhausted as exc:
+                exhausted = exc
+                continue
             if phi is not None:
                 return name, off, phi
+    if exhausted is not None:
+        raise exhausted
     return None
 
 

@@ -270,10 +270,12 @@ def member(G, x, R: ZMod) -> bool:
 class Pres:
     """A module presented as (Z/p^m)^ngens modulo the span of `rels`.
 
-    Relations are stored raw; the normal form (exponents of the cyclic
-    decomposition, with basis transform) is computed lazily.  The
-    implicit lattice p^m * (every generator) is always part of the
-    relations.
+    Relations are stored reduced mod p^m; when there are two or more
+    columns they are sorted lexicographically (row 0 first) with
+    duplicate and zero columns dropped, the columns `np.unique(axis=1)`
+    would keep.  The normal form (exponents of the cyclic decomposition,
+    with basis transform) is computed lazily.  The implicit lattice
+    p^m * (every generator) is always part of the relations.
     """
 
     __slots__ = ("R", "ngens", "rels", "_nf", "_span")
@@ -287,8 +289,11 @@ class Pres:
         if rels.shape[0] != ngens:
             raise ValueError("relation matrix has wrong number of rows")
         if rels.shape[1] > 1:
-            rels = np.unique(rels, axis=1)
-            rels = rels[:, rels.any(axis=0)]
+            # np.lexsort takes its last key as the primary one
+            rels = rels[:, np.lexsort(rels[::-1])]
+            keep = rels.any(axis=0)
+            keep[1:] &= (rels[:, 1:] != rels[:, :-1]).any(axis=0)
+            rels = rels[:, keep]
         self.rels = rels
         self._nf = None
         self._span = None

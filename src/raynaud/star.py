@@ -47,7 +47,7 @@ from .rmod import (
     sub_level,
 )
 from .blocks import BlockModule, make_block
-from .homs import ShiftDepth, fingerprints_match, identify_block
+from .homs import SearchExhausted, ShiftDepth, fingerprints_match, identify_block
 
 
 class ClosedFormInapplicable(ValueError):
@@ -519,7 +519,8 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     Returns {"H-1": ..., "H0": ...} with raw presentations, and for each
     the identification that is always attempted: "identified" (a block
     name, "0" or None), "offset" (its depth offset) and "status"
-    ("identified" or "unidentified").
+    ("identified", "unidentified", or "search exhausted" when a candidate
+    with matching fingerprints could be neither confirmed nor excluded).
     """
     if Eb.kind != "Dieudonne":
         raise ValueError("derived star is implemented along the height-block resolution")
@@ -597,7 +598,11 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
             continue
         # explicit isomorphism at a small level; the match must then
         # agree exactly (normal forms per grading) at the working level
-        ident = identify_block(tower, cands, min(m, 2), min(n, 4))
+        try:
+            ident = identify_block(tower, cands, min(m, 2), min(n, 4))
+        except SearchExhausted:
+            entry.update(identified=None, offset=None, status="search exhausted")
+            continue
         if ident is not None:
             name, off, _ = ident
             if not fingerprints_match(tower, ShiftDepth(dict(cands)[name], off), m, n):

@@ -104,6 +104,21 @@ def test_star_derived(specs, capsys):
     assert data["H0"] == "U_1"
 
 
+def test_star_derived_reports_an_exhausted_search(specs, capsys, monkeypatch):
+    import raynaud.homs
+
+    # every candidate map is rejected, so no identification is decided
+    monkeypatch.setattr(raynaud.homs, "is_isomorphism_at", lambda *args: False)
+    code, out, err = run_cli(
+        ["star", specs["e12"], specs["dap"], "--derived", "--precision", "2", "--vdepth", "6"],
+        capsys,
+    )
+    assert code == 1
+    data = json.loads(out)
+    assert data["H-1"] == "search exhausted"
+    assert data["H0"] == "search exhausted"
+
+
 def test_star_derived_requires_height_block(specs, capsys):
     code, out, err = run_cli(["star", specs["w"], specs["dap"], "--derived"], capsys)
     assert code == 2

@@ -1,12 +1,17 @@
 """Hom spaces, stabilization, isomorphism search, cones and extensions."""
 
+import re
+
 import numpy as np
 import pytest
 
+from raynaud import homs
 from raynaud.blocks import make_block, truncate
 from raynaud.formal import FormalObject
 from raynaud.homs import (
     GradingShift,
+    SearchExhausted,
+    ShiftDepth,
     cone_or_extension,
     find_isomorphism,
     formal_hom,
@@ -81,6 +86,56 @@ def test_find_isomorphism_rejects_distinct_blocks():
     u0 = make_block("Domino", p, t=0).tower
     w = make_block("UnitW", p).tower
     assert find_isomorphism(u0, w, 2, 5) is None
+
+
+def _count_isomorphism_tests(monkeypatch, reject=lambda src: False):
+    """Wrap `homs.is_isomorphism_at`: count its calls, and answer False
+    without testing for the source towers `reject` picks."""
+    calls = []
+    real = homs.is_isomorphism_at
+
+    def counted(phi, src, dst, m, n):
+        calls.append(src)
+        return False if reject(src) else real(phi, src, dst, m, n)
+
+    monkeypatch.setattr(homs, "is_isomorphism_at", counted)
+    return calls
+
+
+def test_find_isomorphism_exhausted_search_is_not_a_no(monkeypatch):
+    # U_0 against itself: the fingerprints match, so a search in which
+    # every candidate fails leaves the question open instead of answering it
+    u0 = make_block("Domino", 2, t=0).tower
+    calls = _count_isomorphism_tests(monkeypatch, reject=lambda src: True)
+    with pytest.raises(SearchExhausted, match="candidates") as info:
+        find_isomorphism(u0, u0, 2, 5)
+    tried = int(re.search(r"none of (\d+) candidates", str(info.value)).group(1))
+    # every candidate is rejected at its first level: one test each, the
+    # 40 random combinations and at least one solution column
+    assert tried == len(calls) > 40
+
+
+def test_identify_block_passes_over_an_exhausted_candidate(monkeypatch):
+    u0 = make_block("Domino", 2, t=0).tower
+    first = ShiftDepth(u0, 0)  # the same tower under another name
+    _count_isomorphism_tests(monkeypatch, reject=lambda src: src.inner is first)
+    got = identify_block(u0, [("first", first), ("U_0", u0)], 2, 5)
+    assert got is not None and got[:2] == ("U_0", 0)
+    with pytest.raises(SearchExhausted):
+        identify_block(u0, [("first", first)], 2, 5)
+
+
+def test_identify_block_tries_random_combinations_first(monkeypatch):
+    # the random combinations of the chain solutions are tried before the
+    # single solution columns; columns first took 147, 123 and 103 tests
+    p = 2
+    cands = [(f"U_{t}", make_block("Domino", p, t=t).tower) for t in (-1, 0, 1)]
+    calls = _count_isomorphism_tests(monkeypatch)
+    for t, name in [(-1, "U_-1"), (0, "U_0"), (1, "U_1")]:
+        calls.clear()
+        got = identify_block(make_block("Domino", p, t=t).tower, cands, 2, 5)
+        assert got is not None and got[:2] == (name, 0)
+        assert len(calls) <= 10, f"{len(calls)} isomorphism tests to identify {name}"
 
 
 @pytest.mark.parametrize("p,lam", [(2, 1), (3, 1), (3, 2), (5, 4)])

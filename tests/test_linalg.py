@@ -372,6 +372,53 @@ def test_pres_is_zero_rank_test_matches_normal_form(case):
     assert cached.is_zero() == fresh.is_zero()
 
 
+def _unique_columns_reference(A, R):
+    """The relation columns `Pres` stored when it called `np.unique`:
+    with two or more columns, the distinct nonzero columns of A mod q in
+    lexicographic order; a single column as it is."""
+    A = R.reduce(A)
+    if A.shape[1] < 2:
+        return A
+    ref = np.unique(A, axis=1)
+    return ref[:, ref.any(axis=0)]
+
+
+@st.composite
+def relation_matrices(draw):
+    """(R, A): columns drawn with repetition from a few, some of them
+    zero, with entries not yet reduced mod q (so columns can agree only
+    mod q)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    R = ZMod(p, draw(st.integers(1, 3)))
+    rows = draw(st.integers(1, 12))
+    pool_size = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.integers(0, R.q, size=(rows, pool_size))
+    pool[:, rng.random(pool_size) < 0.3] = 0
+    A = pool[:, rng.integers(0, pool_size, size=cols)]
+    return R, A + R.q * rng.integers(-1, 2, size=A.shape)
+
+
+@PROPERTY
+@given(relation_matrices())
+def test_pres_columns_sorted_and_deduplicated_as_np_unique(case):
+    R, A = case
+    got, ref = Pres(R, A.shape[0], A).rels, _unique_columns_reference(A, R)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_pres_dedup_edge_cases():
+    R = ZMod(3, 2)
+    one = np.array([[4], [10], [0]])
+    assert Pres(R, 3, one).rels.tobytes() == (one % 9).tobytes()
+    assert Pres(R, 3, np.zeros((3, 1))).rels.shape == (3, 1)  # a single column is kept
+    assert Pres(R, 3, np.zeros((3, 4))).rels.shape == (3, 0)
+    for rels in (None, np.zeros((0, 0)), np.zeros((0, 5))):
+        assert Pres(R, 0, rels).rels.shape == (0, 0)
+
+
 @PROPERTY
 @given(sparse_matrices(max_rows=8, square=True))
 def test_mat_pow_mod_matches_naive_product(case):

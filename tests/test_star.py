@@ -209,6 +209,34 @@ def test_derived_star_with_unit():
     assert res["H0"]["identified"] == "E"
 
 
+@pytest.mark.parametrize(
+    "second,m,n,expected",
+    [
+        ("DAlphaP", 2, 6, {"H-1": ("U_-1", 0), "H0": ("U_1", 0)}),
+        ("DAlphaP", 3, 8, {"H-1": ("U_-1", 0), "H0": ("U_1", 0)}),
+        ("UnitW", 2, 6, {"H-1": ("0", 0), "H0": ("E", 0)}),
+        ("UnitW", 3, 8, {"H-1": ("0", 0), "H0": ("E", 0)}),
+        ("ResidueK", 2, 6, {"H-1": ("0", 0), "H0": (None, None)}),
+    ],
+)
+def test_derived_star_identifications_and_offsets(second, m, n, expected):
+    e = make_block("Dieudonne", P, i=1, j=1)
+    res = derived_star(e, make_block(second, P), m, n)
+    got = {w: (res[w]["identified"], res[w]["offset"]) for w in ("H-1", "H0")}
+    assert got == expected
+
+
+def test_derived_star_records_an_exhausted_search(monkeypatch):
+    import raynaud.homs
+
+    monkeypatch.setattr(raynaud.homs, "is_isomorphism_at", lambda *args: False)
+    e = make_block("Dieudonne", P, i=1, j=1)
+    res = derived_star(e, make_block("UnitW", P), 2, 6)
+    assert res["H-1"]["status"] == "identified"  # the zero test needs no search
+    assert res["H0"]["status"] == "search exhausted"
+    assert res["H0"]["identified"] is None and res["H0"]["offset"] is None
+
+
 def test_derived_star_requires_height_block():
     with pytest.raises(ValueError):
         derived_star(make_block("UnitW", P), make_block("DAlphaP", P), 2, 6)
