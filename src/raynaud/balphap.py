@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Pres, Span, kernel_into, quotient_by, subquotient
+from .linalg import Pres, Span, blockdiag, kernel_into, quotient_by, subquotient
 from .rmod import Unstable, eventual_kernel
 from .blocks import make_block, truncate
 from .formal import FormalObject, Summand
@@ -87,8 +87,10 @@ def row0_cells(cfg: PipelineConfig):
         bot = np.eye(size, dtype=np.int64) if din_id else amb.R.zeros(size, size)
         S, _ = subquotient(amb, ker, bot)
         out[i] = S.min_exps()
-    assert out[0] == [min(m, n)], "E_2^{0,0} must be W at the working precision"
-    assert all(not out[i] for i in range(1, cols)), "higher row-0 cells must vanish"
+    if out[0] != [min(m, n)]:
+        raise Unstable(f"E2^{{0,0}} should be W at the working precision, got {out[0]}")
+    if any(out[i] for i in range(1, cols)):
+        raise Unstable(f"the higher row-0 cells should vanish, got {out}")
     return {"E2_00": "W", "zero_cells": [f"E2_{i}0" for i in range(1, cols)]}
 
 
@@ -145,10 +147,8 @@ def e2_rows01(cfg: PipelineConfig):
     E = make_block("Dieudonne", p, i=1, j=1)
 
     def column_pres(copies, mm, nn):
-        L = truncate(E, mm, nn)
-        a = L.piece(0).pres
-        R = a.R
-        return Pres(R, copies * a.ngens, np.kron(np.eye(copies, dtype=np.int64), a.rels))
+        a = truncate(E, mm, nn).piece(0).pres
+        return Pres.direct_sum(a.R, [a] * copies)
 
     # column c of the first row holds c + 1 copies of H~^1(E), and
     # E_2^{c,1} = ker d^{c,1} / im d^{c-1,1}.  d^{0,1} is right
@@ -185,13 +185,10 @@ def _check_cell_ops_vanish(E, Ktop, Kbot, m, n):
     """F, V, d all act by zero on the E2^{1,1} cell (it is D(alpha_p))."""
     L = truncate(E, m, n)
     R = L.R
-    sz = L.piece(0).pres.ngens
-    two = np.kron(np.eye(2, dtype=np.int64), np.eye(sz, dtype=np.int64))
-    src = Pres(R, 2 * sz, np.kron(np.eye(2, dtype=np.int64), L.piece(0).pres.rels))
-    sp = Span(np.concatenate([Kbot, src.rels, R.p * two], axis=1) % R.q, R)
+    src = Pres.direct_sum(R, [L.piece(0).pres] * 2)
+    sp = Span(np.concatenate([Kbot, src.rels, R.p * R.eye(src.ngens)], axis=1) % R.q, R)
     for name, mat in (("F", L.F_lift(0)), ("V", L.V(0))):
-        op = np.kron(np.eye(2, dtype=np.int64), mat)
-        img = (op @ Ktop) % R.q
+        img = (blockdiag(R, [mat, mat]) @ Ktop) % R.q
         for c in range(img.shape[1]):
             if not sp.contains(img[:, c]):
                 raise Unstable(f"operator {name} does not vanish on E2^{{1,1}}")

@@ -37,29 +37,6 @@ class ShiftDepth(Tower):
         return self.inner.proj(i, (mh, nh + self.offset), (ml, nl + self.offset))
 
 
-class GradingShift(Tower):
-    """inner(a): grading g here is the inner grading g + a."""
-
-    def __init__(self, inner: Tower, a: int):
-        super().__init__(inner.p, inner.r)
-        self.inner = inner
-        self.a = a
-
-    def gradings(self):
-        return sorted(g - self.a for g in self.inner.gradings())
-
-    def _build(self, m, n):
-        L = self.inner.level(m, n)
-        pieces = {g - self.a: L.piece(g) for g in L.pieces}
-        V = {g - self.a: mat for g, mat in L.opV.items()}
-        d = {g - self.a: mat for g, mat in L.opd.items()}
-        F = {g - self.a: mat for g, mat in L.opF.items()}
-        return Level(L.R, n, pieces, V, d, F, r=self.r)
-
-    def proj(self, i, hi, lo):
-        return self.inner.proj(i + self.a, hi, lo)
-
-
 class HomResult:
     def __init__(self, exps, stable, basis, base_level):
         self.exps = exps  # annihilator exponents of the hom module
@@ -82,24 +59,12 @@ class HomResult:
 
 
 def _phi_ambient(src: Tower, dst: Tower, m, n) -> Pres:
-    """Ambient module of level maps, modulo maps into the relations."""
-    R = ZMod(src.p, m)
+    """Ambient module of level maps, modulo maps into the relations: per
+    grading, one copy of the destination piece for each source generator."""
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
     Ls, Ld = src.level(m, n), dst.level(m, n)
-    total = sum(Ls.piece(i).ngens * Ld.piece(i).ngens for i in gradings)
-    cols = []
-    off = 0
-    for i in gradings:
-        ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
-        rels = Ld.piece(i).pres.rels
-        for c in range(ns):
-            for rc in range(rels.shape[1]):
-                v = np.zeros(total, dtype=np.int64)
-                v[off + c * nd : off + (c + 1) * nd] = rels[:, rc]
-                cols.append(v)
-        off += ns * nd
-    Z = np.stack(cols, axis=1) % R.q if cols else R.zeros(total, 0)
-    return Pres(R, total, Z)
+    copies = [Ld.piece(i).pres for i in gradings for _ in range(Ls.piece(i).ngens)]
+    return Pres.direct_sum(ZMod(src.p, m), copies)
 
 
 def _step_maps(tower: Tower, i, hi, lo):

@@ -32,6 +32,7 @@ import numpy as np
 from .linalg import (
     Pres,
     ZMod,
+    blockdiag,
     charpoly,
     induced_matrix,
     invert_unimodular,
@@ -43,7 +44,6 @@ from .linalg import (
 from .rmod import (
     Tower,
     Unstable,
-    _blockdiag,
     compose_F,
     eventual_kernel,
     mat_pow_mod,
@@ -294,18 +294,6 @@ class TruncatedComplex:
         self.N = N
         self.entries = entries  # dict (grading, degree) -> list of exponents
 
-    def kdim(self, g, deg):
-        exps = self.entries.get((g, deg), [])
-        if any(e > 1 for e in exps):
-            raise ValueError("entry is not a k-vector space")
-        return len(exps)
-
-    def exps(self, g, deg):
-        return self.entries.get((g, deg), [])
-
-    def cells(self):
-        return sorted(self.entries)
-
 
 def rn_tensor_block(block: BlockModule, N, cfg=DEFAULT_CONFIG) -> TruncatedComplex:
     """Cohomology of R_N tensor (block) per grading, stabilized."""
@@ -335,8 +323,7 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
     def pair_pres(mm, nn):
         # M^(g-1) + M^g at level (mm, nn), the middle term of the complex
         L = tower.level(mm, nn)
-        a, b = L.piece(g - 1).pres, L.piece(g).pres
-        return Pres(L.R, a.ngens + b.ngens, _blockdiag(L.R, [a.rels, b.rels]))
+        return Pres.direct_sum(L.R, [L.piece(g - 1).pres, L.piece(g).pres])
 
     def vN(mm, nn):
         Lx = tower.level(mm, nn)
@@ -360,9 +347,7 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
     # H^-1: stabilized ker(v_N) modulo im(u_N)
     def step_v(k):
         mm, nn = m + k, n + k
-        P = _blockdiag(
-            R, [tower.proj(g - 1, (mm, nn), (m, n)), tower.proj(g, (mm, nn), (m, n))]
-        )
+        P = blockdiag(R, [tower.proj(g - 1, (mm, nn), (m, n)), tower.proj(g, (mm, nn), (m, n))])
         return vN(mm, nn), pair_pres(mm, nn), tower.level(mm, nn).piece(g).pres, P
 
     amb1 = pair_pres(m, n)

@@ -6,6 +6,11 @@ kernels of matrices between modules with prescribed coordinate
 annihilators, membership tests, presentations of spans and quotients,
 and a division-free characteristic polynomial.
 
+This module is the one builder of presentations: `Pres.direct_sum`
+(over `blockdiag`) is the only direct sum of presented modules, and
+`minimal_gens` returns a span's minimal generators together with their
+presentation, so a caller never presents the same span twice.
+
 Matrices are numpy int64 arrays with entries reduced into [0, q),
 q = p^m.  `ZMod` only enforces q^2 < 2^62.  A matrix product with inner
 dimension k is exact only when k * (q - 1)^2 < 2^63; at q = 7^10 that
@@ -302,6 +307,13 @@ class Pres:
     def free(cls, R: ZMod, ngens: int):
         return cls(R, ngens)
 
+    @classmethod
+    def direct_sum(cls, R: ZMod, pieces):
+        """The direct sum of the presentations in the list `pieces`,
+        generators in order."""
+        rels = blockdiag(R, [pc.rels for pc in pieces], rows=[pc.ngens for pc in pieces])
+        return cls(R, sum(pc.ngens for pc in pieces), rels)
+
     def normal_form(self):
         """(exps, P): exps[i] = annihilator exponent of the i-th new
         generator; x_new = P x_old diagonalizes the relation lattice."""
@@ -390,23 +402,24 @@ def present_span(G, amb: Pres):
     return Pres(R, t, K_rels), G
 
 
-def minimal_gens(G, amb: Pres) -> np.ndarray:
-    """A minimal generating set of span(G) inside amb.
+def minimal_gens(G, amb: Pres):
+    """A minimal generating set of span(G) inside amb, with its presentation.
 
     Writes the span's presentation in normal form and keeps one
-    generator per nonzero cyclic factor.
+    generator per nonzero cyclic factor.  Returns (gens, pres): gens in
+    amb's coordinates, and pres on them, where the kept generator with
+    annihilator exponent e has the single relation p^e.
     """
     R = amb.R
     G = R.reduce(G)
     if G.shape[1] == 0:
-        return G
+        return G, Pres(R, 0)
     K, _ = present_span(G, amb)
     exps, P = K.normal_form()
     Pinv = invert_unimodular(P, R)
     keep = [t for t, e in enumerate(exps) if e > 0]
-    if not keep:
-        return R.zeros(amb.ngens, 0)
-    return (G @ Pinv[:, keep]) % R.q
+    pe = np.array([R.p ** exps[t] for t in keep], dtype=np.int64) % R.q
+    return (G @ Pinv[:, keep]) % R.q, Pres(R, len(keep), np.diag(pe)[:, pe != 0])
 
 
 def quotient_by(amb: Pres, extra) -> Pres:
@@ -428,6 +441,21 @@ def subquotient(amb: Pres, top, bot):
     amb_bot = quotient_by(amb, bot)
     S_rels = kernel_into(top, Pres.free(R, top.shape[1]), amb_bot)
     return Pres(R, top.shape[1], S_rels), top
+
+
+def blockdiag(R: ZMod, blocks, rows=None) -> np.ndarray:
+    """The block-diagonal matrix of `blocks` mod p^m; rows[k], when given,
+    is the height of block k (for blocks without columns)."""
+    if rows is None:
+        rows = [b.shape[0] for b in blocks]
+    cols = [b.shape[1] for b in blocks]
+    out = R.zeros(sum(rows), sum(cols))
+    ro = co = 0
+    for b, r_, c in zip(blocks, rows, cols):
+        out[ro : ro + r_, co : co + c] = b % R.q
+        ro += r_
+        co += c
+    return out
 
 
 def induced_matrix(img, dst_gens, dst: Pres):

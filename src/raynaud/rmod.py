@@ -17,6 +17,11 @@ Kernels and cohomology at a single level carry truncation phantoms
 (e.g. ker(V) on W_m); every reported quantity is therefore the eventual
 image along level transitions, with double-step stabilization
 detection (`Unstable` when the configured maximum is reached).
+
+`SumTower` is the one direct-sum tower: one summand with a shift is a
+grading-shifted tower, and no summand at all is the zero tower.
+Sub-objects (`sub_level`) take their generators and presentations from
+`linalg.minimal_gens`.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .linalg import (
     Span,
     Pres,
     ZMod,
+    blockdiag,
     induced_matrix,
     kernel_into,
     map_is_welldefined,
@@ -290,29 +296,26 @@ def check_transitions(tower: Tower, m: int, n: int) -> RelationReport:
 # towers built from an explicit finite model
 
 
-def sub_level(amb: Level, spans) -> Level:
-    """The sub-object of `amb` spanned per grading by the columns spans[g].
+def sub_level(amb: Level, subs) -> Level:
+    """The sub-object of `amb` given per grading by subs[g] = (gens, pres),
+    a minimal generating set of a span and its presentation as
+    `minimal_gens` returns them.
 
-    Each grading is re-presented on a minimal generating set of its span,
-    and V, d and F are induced on those generators; `Unstable` is raised
+    V, d and F are induced on those generators; `Unstable` is raised
     when an operator image leaves the span.  All images landing in one
     grading (V and F of it, d of the grading below) are solved together,
     so each destination is factored once.
     """
     R = amb.R
-    gens = {g: minimal_gens(G, amb.piece(g).pres) for g, G in spans.items()}
-
     pieces, V, d, F = {}, {}, {}, {}
-    for g, G in gens.items():
-        piece = amb.piece(g).pres
-        sub, _ = present_span(G, piece)
+    for g, (G, sub) in subs.items():
         pieces[g] = LevelPiece([("m", g, t) for t in range(G.shape[1])], sub)
         # (operator, source generators, target table, source grading)
         into = [(amb.V(g), G, V, g), (amb.F_lift(g), G, F, g)]
-        if g - 1 in gens:
-            into.append((amb.d(g - 1), gens[g - 1], d, g - 1))
+        if g - 1 in subs:
+            into.append((amb.d(g - 1), subs[g - 1][0], d, g - 1))
         img = np.concatenate([op @ Gs for op, Gs, _, _ in into], axis=1) % R.q
-        B = induced_matrix(img, G, piece)
+        B = induced_matrix(img, G, amb.piece(g).pres)
         if B is None:
             raise Unstable("operator does not preserve the span of the chosen generators")
         off = 0
@@ -328,7 +331,8 @@ def condense_level(level: Level) -> Level:
     The result is isomorphic to the input with far fewer coordinates;
     filtration quotients commute with the re-presentation.
     """
-    return sub_level(level, {g: level.R.eye(level.piece(g).ngens) for g in level.gradings()})
+    pieces = [(g, level.piece(g)) for g in level.gradings()]
+    return sub_level(level, {g: minimal_gens(level.R.eye(pc.ngens), pc.pres) for g, pc in pieces})
 
 
 class ModelTower(Tower):
@@ -380,7 +384,8 @@ class SumTower(Tower):
 
     Summand (tower, shift) contributes its grading (i + shift) piece to
     grading i here, i.e. it represents tower(shift) with the convention
-    M(a)^i = M^(i+a).
+    M(a)^i = M^(i+a).  `SumTower([(tower, a)], p)` is tower(a) alone and
+    `SumTower([], p)` is the zero tower.
     """
 
     def __init__(self, summands, p, r=1):
@@ -398,35 +403,17 @@ class SumTower(Tower):
         R = ZMod(self.p, m)
         pieces, V, d, F = {}, {}, {}, {}
         for i in self.gradings():
-            labels, rel_blocks, sizes = [], [], []
-            for k, (t, a) in enumerate(self.summands):
-                pc = t.level(m, n).piece(i + a)
-                labels.extend((k, lab) for lab in pc.labels)
-                rel_blocks.append(pc.pres.rels)
-                sizes.append(pc.ngens)
-            rels = _blockdiag(R, rel_blocks, rows=sizes)
-            pieces[i] = LevelPiece(labels, Pres(R, sum(sizes), rels))
-            V[i] = _blockdiag(R, [t.level(m, n).V(i + a) for t, a in self.summands])
-            F[i] = _blockdiag(R, [t.level(m, n).F_lift(i + a) for t, a in self.summands])
-            d[i] = _blockdiag(
+            pcs = [t.level(m, n).piece(i + a) for t, a in self.summands]
+            labels = [(k, lab) for k, pc in enumerate(pcs) for lab in pc.labels]
+            pieces[i] = LevelPiece(labels, Pres.direct_sum(R, [pc.pres for pc in pcs]))
+            V[i] = blockdiag(R, [t.level(m, n).V(i + a) for t, a in self.summands])
+            F[i] = blockdiag(R, [t.level(m, n).F_lift(i + a) for t, a in self.summands])
+            d[i] = blockdiag(
                 R,
                 [t.level(m, n).d(i + a) for t, a in self.summands],
                 rows=[t.level(m, n).piece(i + 1 + a).ngens for t, a in self.summands],
             )
         return Level(R, n, pieces, V, d, F, r=self.r)
-
-
-def _blockdiag(R, blocks, rows=None):
-    if rows is None:
-        rows = [b.shape[0] for b in blocks]
-    cols = [b.shape[1] for b in blocks]
-    out = R.zeros(sum(rows), sum(cols))
-    ro = co = 0
-    for b, r_, c in zip(blocks, rows, cols):
-        out[ro : ro + r_, co : co + c] = b % R.q
-        ro += r_
-        co += c
-    return out
 
 
 # ---------------------------------------------------------------------------

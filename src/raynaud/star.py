@@ -32,14 +32,22 @@ import functools
 
 import numpy as np
 
-from .linalg import Pres, ZMod, invert_unimodular, kernel_into, quotient_by, subquotient
+from .linalg import (
+    Pres,
+    ZMod,
+    blockdiag,
+    invert_unimodular,
+    kernel_into,
+    minimal_gens,
+    quotient_by,
+)
 from .rmod import (
     Level,
     LevelPiece,
     ModelTower,
+    SumTower,
     Tower,
     Unstable,
-    _blockdiag,
     _same_span,
     condense_level,
     mat_pow_mod,
@@ -109,7 +117,7 @@ def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule) -> Tower:
                         % R.q
                     )
                     sizes.append(pa.ngens * pb.ngens)
-                rels = _blockdiag(R, rel_blocks, rows=sizes) if rel_blocks else R.zeros(0, 0)
+                rels = blockdiag(R, rel_blocks, rows=sizes)
                 pieces[g] = LevelPiece(labels, Pres(R, sum(sizes), rels))
                 # operators as block matrices over the (a, b) partition
                 V[g] = _prod_op(LM, LN, parts, parts, "V", R)
@@ -437,18 +445,16 @@ class BandModel:
 
         return self.matrices(V), self.matrices(d, shift=1), self.matrices(F)
 
-    def submodel(self, spans, bots=None) -> Tower:
-        """The sub-object spanned per grading by spans[g] -- inside the
-        bands modulo the columns bots[g] when bots is given -- as a tower
-        with the induced operators."""
+    def submodel(self, subs, quots=None) -> Tower:
+        """The sub-object given per grading by subs[g] = `minimal_gens` of
+        a span -- inside the bands, or inside the quotient quots[g] of the
+        band piece when quots is given -- as a tower with the induced
+        operators."""
         pieces = self.level.pieces
-        if bots is not None:
-            pieces = {
-                g: LevelPiece(self.labels[g], quotient_by(self.level.piece(g).pres, bot))
-                for g, bot in bots.items()
-            }
+        if quots is not None:
+            pieces = {g: LevelPiece(self.labels[g], pres) for g, pres in quots.items()}
         amb = Level(self.R, self.n_v, pieces, *self.ops(), r=1)
-        return ModelTower(sub_level(amb, spans), self.Mb.p, depth_margin=1)
+        return ModelTower(sub_level(amb, subs), self.Mb.p, depth_margin=1)
 
 
 def _d_of_phi(band: BandModel, t, g, x):
@@ -557,7 +563,8 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
             return K[g], _band_select(src, src0, g)
 
         base = src0.level.piece(g).pres
-        _, stable_k[g] = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
+        _, G = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
+        stable_k[g] = minimal_gens(G, base)
     hminus = src0.submodel(stable_k)
 
     # cokernel: image of the transition coker_f -> coker_(f + step).  The
@@ -570,13 +577,12 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
         srcB = BandModel(Nb, mv, nv, fc + step)
         dstA = BandModel(Nb, mv, nv, fc + i)
         dstB, matsB = band_alpha((i, j), srcB)
-        incs = {g: _band_select(dstA, dstB, g) for g in sorted(dstA.sizes)}
-        stats = {
-            g: subquotient(dstB.level.piece(g).pres, inc, matsB[g])[0].min_exps()
-            for g, inc in incs.items()
-        }
+        # one presentation per grading gives both the stats and the model
+        quots = {g: quotient_by(dstB.level.piece(g).pres, matsB[g]) for g in sorted(dstA.sizes)}
+        subs = {g: minimal_gens(_band_select(dstA, dstB, g), amb) for g, amb in quots.items()}
+        stats = {g: pres.min_exps() for g, (_, pres) in subs.items()}
         if prev == stats:
-            hzero = dstB.submodel(incs, bots={g: matsB[g] for g in incs})
+            hzero = dstB.submodel(subs, quots)
             break
         prev = stats
     if hzero is None:
@@ -593,7 +599,7 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     result = {}
     for which, tower in (("H-1", hminus), ("H0", hzero)):
         entry = result[which] = {"model": tower, "exps": _model_exps(tower)}
-        if fingerprints_match(tower, _ZeroTower(p), m, n):
+        if fingerprints_match(tower, SumTower([], p), m, n):
             entry.update(identified="0", offset=0, status="identified")
             continue
         # explicit isomorphism at a small level; the match must then
@@ -611,18 +617,6 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
         entry["offset"] = ident[1] if ident else None
         entry["status"] = "identified" if ident else "unidentified"
     return result
-
-
-class _ZeroTower(Tower):
-    def gradings(self):
-        return [0]
-
-    def _build(self, m, n):
-        R = ZMod(self.p, m)
-        return Level(R, n, {0: LevelPiece([], Pres(R, 0))}, {}, {}, {}, r=1)
-
-    def proj(self, i, hi, lo):
-        return ZMod(self.p, lo[0]).zeros(0, 0)
 
 
 def _bands_agree(k1, src1, k2, src2):

@@ -116,6 +116,23 @@ def test_report_stable_across_truncations():
     for key in ("hW", "table"):
         assert r1[key] == r2[key]
     assert r1["checks"]["crew"] == r2["checks"]["crew"]
+    # both configurations clamp to one cell level, so the comparison above
+    # is served from one cached computation; the h_W grid computed at a
+    # larger level must agree as well
+    X = counterexample_object(PipelineConfig(p=2))[0]
+    wide = hodge_witt_numbers(X, InvariantConfig(4, 10)).hW
+    grid = {f"{i},{j}": int(v) for (i, j), v in wide.items() if i >= 0 and j >= 0 and i + j <= 3}
+    assert grid == r1["hW"]
+
+
+def test_row0_cells_raise_unstable_on_a_wrong_cell(monkeypatch):
+    from raynaud import balphap
+    from raynaud.rmod import Unstable
+
+    # an empty kernel makes E_2^{0,0} vanish instead of being W
+    monkeypatch.setattr(balphap, "kernel_into", lambda A, src, dst: src.R.zeros(src.ngens, 0))
+    with pytest.raises(Unstable, match=r"E2\^\{0,0\}"):
+        balphap.row0_cells(CFG)
 
 
 def test_markdown_rendering():

@@ -182,10 +182,11 @@ def test_hom_k_to_domino_matches_enumeration():
     """The classifying Hom space, brute-forced: maps from the shifted
     residue field into U_{-1} over two chain levels, enumerated over all
     matrix pairs mod p, against the chain solver."""
-    from raynaud.homs import GradingShift, hom_space
+    from raynaud.homs import hom_space
+    from raynaud.rmod import SumTower
 
     p, m, n = 2, 1, 3
-    src = GradingShift(make_block("ResidueK", p).tower, -1)
+    src = SumTower([(make_block("ResidueK", p).tower, -1)], p)
     dst = make_block("Domino", p, t=-1).tower
     Ls, Ld = src.level(m, n), dst.level(m, n)
     Ls1, Ld1 = src.level(m, n - 1), dst.level(m, n - 1)
@@ -214,9 +215,10 @@ def test_hom_k_to_domino_matches_enumeration():
 
 
 def test_hom_stable_across_truncations():
-    from raynaud.homs import GradingShift, hom_space
+    from raynaud.homs import hom_space
+    from raynaud.rmod import SumTower
 
-    src = GradingShift(make_block("ResidueK", 2).tower, -1)
+    src = SumTower([(make_block("ResidueK", 2).tower, -1)], 2)
     dst = make_block("Domino", 2, t=-1).tower
     assert hom_space(src, dst, 2, 6).exps == hom_space(src, dst, 3, 8).exps
 

@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raynaud import homs
 from raynaud.blocks import make_block, truncate
 from raynaud.formal import FormalObject
 from raynaud.homs import (
-    GradingShift,
     SearchExhausted,
     ShiftDepth,
     cone_or_extension,
@@ -19,11 +20,13 @@ from raynaud.homs import (
     identify_block,
 )
 from raynaud.invariants import InvariantConfig, domino_number_tower
+from raynaud.linalg import Pres, ZMod
+from raynaud.rmod import SumTower
 
 
 def test_hom_k_shift_to_u_minus_one_is_one_dimensional():
     p = 2
-    k_shifted = GradingShift(make_block("ResidueK", p).tower, -1)  # k in grading 1
+    k_shifted = SumTower([(make_block("ResidueK", p).tower, -1)], p)  # k in grading 1
     um1 = make_block("Domino", p, t=-1).tower
     h = hom_space(k_shifted, um1, 2, 6)
     assert h.stable
@@ -182,3 +185,54 @@ def test_cone_independent_of_unit_chosen():
         towers.append(res["cone_tower"])
     phi = find_isomorphism(towers[0], towers[1], 2, 5)
     assert phi is not None
+
+
+def _phi_ambient_by_columns(src, dst, m, n):
+    """The reference for `homs._phi_ambient`: its relation columns written
+    out one by one, the destination relations of grading i placed in the
+    slot of each source generator of grading i."""
+    R = ZMod(src.p, m)
+    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
+    Ls, Ld = src.level(m, n), dst.level(m, n)
+    total = sum(Ls.piece(i).ngens * Ld.piece(i).ngens for i in gradings)
+    cols = []
+    off = 0
+    for i in gradings:
+        ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
+        rels = Ld.piece(i).pres.rels
+        for c in range(ns):
+            for rc in range(rels.shape[1]):
+                v = np.zeros(total, dtype=np.int64)
+                v[off + c * nd : off + (c + 1) * nd] = rels[:, rc]
+                cols.append(v)
+        off += ns * nd
+    Z = np.stack(cols, axis=1) % R.q if cols else R.zeros(total, 0)
+    return Pres(R, total, Z)
+
+
+BLOCK_SPECS = [
+    ("UnitW", {}),
+    ("ResidueK", {}),
+    ("DAlphaP", {}),
+    ("Domino", {"t": -1}),
+    ("Domino", {"t": 0}),
+    ("Dieudonne", {"i": 1, "j": 1}),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    st.sampled_from(BLOCK_SPECS),
+    st.sampled_from(BLOCK_SPECS),
+    st.integers(-1, 1),
+    st.sampled_from([2, 3]),
+    st.integers(1, 2),
+    st.integers(2, 5),
+)
+def test_phi_ambient_direct_sum_matches_column_loop(a, b, shift, p, m, n):
+    src = SumTower([(make_block(a[0], p, **a[1]).tower, shift)], p)
+    dst = make_block(b[0], p, **b[1]).tower
+    got, ref = homs._phi_ambient(src, dst, m, n), _phi_ambient_by_columns(src, dst, m, n)
+    assert got.ngens == ref.ngens
+    assert got.rels.shape == ref.rels.shape
+    assert got.rels.tobytes() == ref.rels.tobytes()

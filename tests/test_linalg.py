@@ -23,6 +23,7 @@ from raynaud.linalg import (
     kernel_gens,
     kernel_into,
     member,
+    minimal_gens,
     present_span,
     Pres,
     quotient_by,
@@ -30,7 +31,7 @@ from raynaud.linalg import (
     solve,
     subquotient,
 )
-from raynaud.rmod import mat_pow_mod
+from raynaud.rmod import _same_span, mat_pow_mod
 
 
 def enumerate_vectors(q, n):
@@ -487,3 +488,34 @@ def test_kernel_gens_span_the_enumerated_kernel(case):
         x for x in enumerate_vectors(R.q, A.shape[1]) if not ((A @ np.array(x)) % R.q).any()
     }
     assert brute_span(kernel_gens(A, R), R) == kernel
+
+
+# ---------------------------------------------------------------------------
+# minimal generators come with their presentation
+
+
+@st.composite
+def spans_in_presented_modules(draw):
+    """(amb, G): a module on up to 6 generators with up to 6 relation
+    columns, and up to 5 columns G in its coordinates (any may be zero)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    R = ZMod(p, draw(st.integers(1, 3)))
+    ngens = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def columns(k):
+        vals = p ** rng.integers(0, R.m + 1, size=(ngens, k))
+        return (vals * rng.integers(0, R.q, size=(ngens, k))) % R.q
+
+    amb = Pres(R, ngens, columns(draw(st.integers(0, 6))))
+    return amb, columns(draw(st.integers(0, 5)))
+
+
+@PROPERTY
+@given(spans_in_presented_modules())
+def test_minimal_gens_span_and_presentation(case):
+    amb, G = case
+    gens, pres = minimal_gens(G, amb)
+    assert _same_span(gens, G, amb)
+    assert gens.shape[1] == pres.ngens == len(pres.min_exps())
+    assert pres.min_exps() == present_span(G, amb)[0].min_exps()
