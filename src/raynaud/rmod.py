@@ -459,6 +459,8 @@ def eventual_kernel(step, base_piece: Pres, steps=3, what="kernel"):
 
 def _same_span(G1, G2, amb: Pres):
     R = amb.R
+    if np.array_equal(G1 % R.q, G2 % R.q):
+        return True
     big1 = np.concatenate([G1, amb.rels], axis=1) % R.q
     big2 = np.concatenate([G2, amb.rels], axis=1) % R.q
     return Span(big1, R).contains_all(G2) and Span(big2, R).contains_all(G1)

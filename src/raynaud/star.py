@@ -563,8 +563,8 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
             return K[g], _band_select(src, src0, g)
 
         base = src0.level.piece(g).pres
-        _, G = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
-        stable_k[g] = minimal_gens(G, base)
+        K, G = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
+        stable_k[g] = minimal_gens(G, base, K)
     hminus = src0.submodel(stable_k)
 
     # cokernel: image of the transition coker_f -> coker_(f + step).  The

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
@@ -244,15 +244,17 @@ PROPERTY = settings(
 
 
 @st.composite
-def sparse_matrices(draw, max_rows=40, max_cols=60, square=False):
+def sparse_matrices(
+    draw, max_rows=40, max_cols=60, square=False, min_size=1, densities=(0.02, 0.1, 0.3, 0.7, 1.0)
+):
     """(R, A): R = Z/p^m with p in {2, 3, 5, 7}, m <= 4, and A with a
     drawn share of nonzero entries p^v * u, v < m uniform, u random."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     m = draw(st.integers(1, 4))
     R = ZMod(p, m)
-    rows = draw(st.integers(1, max_rows))
-    cols = rows if square else draw(st.integers(1, max_cols))
-    density = draw(st.sampled_from([0.02, 0.1, 0.3, 0.7, 1.0]))
+    rows = draw(st.integers(min_size, max_rows))
+    cols = rows if square else draw(st.integers(min_size, max_cols))
+    density = draw(st.sampled_from(densities))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = p ** rng.integers(0, m, size=(rows, cols))
     units = rng.integers(1, R.q, size=(rows, cols))
@@ -263,9 +265,9 @@ def sparse_matrices(draw, max_rows=40, max_cols=60, square=False):
 def _full_sweep_snf(A, R):
     """Smith normal form whose sweeps rewrite the whole trailing matrix.
 
-    The straightforward form of `smith_normal_form`, with the same pivot
-    rule; kept only as the oracle that the restricted sweeps change no
-    output.
+    The straightforward dense form of `smith_normal_form`, with the same
+    pivot rule; kept only as the oracle that the row-sparse elimination
+    changes no output.
     """
     D = R.reduce(A).copy()
     rows, cols = D.shape
@@ -342,6 +344,68 @@ def test_snf_one_sided_transforms_equal_two_sided(case):
     assert exps == exps1 == exps2 == exps3
     assert np.array_equal(V, V1)
     assert np.array_equal(U, U2)
+
+
+LEFT_RIGHT = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _assert_snf_matches_full_sweep(A, R, left, right, full=None):
+    U, V, exps = smith_normal_form(A, R, left=left, right=right)
+    U0, V0, exps0 = full or _full_sweep_snf(A, R)
+    assert exps == exps0
+    for got, ref, wanted in ((U, U0, left), (V, V0, right)):
+        if not wanted:
+            assert got is None
+            continue
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def _star_level_matrix(rows=242, cols=954, density=0.005, seed=0):
+    """A matrix of the largest star-level shape and density, mod 8."""
+    R = ZMod(2, 3)
+    rng = np.random.default_rng(seed)
+    A = rng.integers(1, R.q, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    return R, A.astype(np.int64)
+
+
+# the star levels factor matrices up to 242x954 at 0.5-1.2% nonzero; the
+# dense oracle takes seconds there, so few examples
+@settings(PROPERTY, max_examples=3)
+@given(
+    sparse_matrices(
+        max_rows=250, max_cols=960, min_size=100, densities=(0.002, 0.005, 0.01)
+    )
+)
+@example(_star_level_matrix())
+def test_snf_matches_full_sweep_at_star_level_shapes(case):
+    R, A = case
+    full = _full_sweep_snf(A, R)
+    for left, right in LEFT_RIGHT:
+        _assert_snf_matches_full_sweep(A, R, left, right, full)
+
+
+@st.composite
+def edge_matrices(draw):
+    """(R, A): shapes with a zero side, all-zero matrices, and entries
+    not reduced mod q, some negative."""
+    R = ZMod(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        return R, np.zeros((rows, cols), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return R, rng.integers(-3 * R.q, 3 * R.q, size=(rows, cols))
+
+
+@PROPERTY
+@given(edge_matrices(), st.sampled_from(LEFT_RIGHT))
+@example((ZMod(2, 3), np.zeros((0, 5), dtype=np.int64)), (True, True))
+@example((ZMod(2, 3), np.zeros((5, 0), dtype=np.int64)), (True, True))
+@example((ZMod(3, 2), np.zeros((4, 6), dtype=np.int64)), (True, True))
+@example((ZMod(3, 2), np.array([[-1, 9, -12], [18, -4, 30]])), (True, True))
+def test_snf_edge_inputs_match_full_sweep(case, sides):
+    R, A = case
+    _assert_snf_matches_full_sweep(A, R, *sides)
 
 
 def _val_capped(x, R):
@@ -518,4 +582,31 @@ def test_minimal_gens_span_and_presentation(case):
     gens, pres = minimal_gens(G, amb)
     assert _same_span(gens, G, amb)
     assert gens.shape[1] == pres.ngens == len(pres.min_exps())
-    assert pres.min_exps() == present_span(G, amb)[0].min_exps()
+    K = present_span(G, amb)[0]
+    assert pres.min_exps() == K.min_exps()
+    # starting from the span's presentation gives the same answer
+    gens_k, pres_k = minimal_gens(G, amb, K)
+    assert np.array_equal(gens_k, gens) and np.array_equal(pres_k.rels, pres.rels)
+
+
+@PROPERTY
+@given(spans_in_presented_modules())
+def test_minimal_gens_presentation_carries_its_normal_form(case):
+    amb, G = case
+    R = amb.R
+    _, pres = minimal_gens(G, amb)
+    exps, P = pres.normal_form()
+    U, _, sexps = smith_normal_form(pres.rels, R, right=False)
+    assert exps == sexps + [R.m] * (pres.ngens - len(sexps))
+    assert np.array_equal(P, U)
+
+
+@PROPERTY
+@given(spans_in_presented_modules())
+def test_same_span_of_equal_matrices_agrees_with_factoring(case):
+    amb, G = case
+    R = amb.R
+    factored = Span(np.concatenate([G, amb.rels], axis=1) % R.q, R).contains_all(G)
+    assert factored
+    assert _same_span(G, G + R.q, amb) == factored  # equal mod q: not factored
+    assert _same_span(G, np.concatenate([G, G], axis=1), amb) == factored
