@@ -27,7 +27,7 @@ from math import gcd
 import numpy as np
 
 from .linalg import Pres, ZMod
-from .rmod import Level, LevelPiece, ModelTower, Tower, mat_pow_mod
+from .rmod import Level, LevelPiece, ModelTower, Tower, fil_gens, mat_pow_mod
 from .witt import GaloisRing
 
 
@@ -212,13 +212,10 @@ class FiniteLengthTower(BlockTower):
 
     def __init__(self, model: Level, p, r=1):
         super().__init__(p, r)
-        from .rmod import fil_gens
-
+        fil = fil_gens(model, model.n)
         for i in model.gradings():
-            G = fil_gens(model, i, model.n)
-            for jdx in range(G.shape[1]):
-                if not model.piece(i).pres.element_is_zero(G[:, jdx]):
-                    raise ValueError("FiniteLength model must satisfy Fil^depth = 0")
+            if not model.piece(i).pres.rel_span().contains_all(fil[i]):
+                raise ValueError("FiniteLength model must satisfy Fil^depth = 0")
         self._inner = ModelTower(model, p, r=r, depth_margin=0)
         self.depth = model.n
 

@@ -116,11 +116,10 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length):
             E[:, off : off + C.shape[1]] = (E[:, off : off + C.shape[1]] + C) % RB.q
         exps, P = target.normal_form()
         ncopies = width // target.ngens
-        bigP = np.kron(np.eye(ncopies, dtype=np.int64), P % RB.q)
-        E = (bigP @ E) % RB.q
-        scale = np.array(
-            [p ** (Mbig - min(e, mc)) for _ in range(ncopies) for e in exps], dtype=np.int64
-        )
+        # P acts on each of the ncopies row blocks of E
+        blocks = E.reshape(ncopies, target.ngens, total)
+        E = ((P % RB.q) @ blocks).reshape(width, total) % RB.q
+        scale = np.tile([p ** (Mbig - min(e, mc)) for e in exps], ncopies)
         E = (E * scale[:, None]) % RB.q
         keep = E.any(axis=1)
         if keep.any():

@@ -39,14 +39,13 @@ from .linalg import (
     kernel_into,
     present_span,
     quotient_by,
-    subquotient,
 )
 from .rmod import (
     Tower,
     Unstable,
     compose_F,
     eventual_kernel,
-    mat_pow_mod,
+    fil_gens,
     stable_pushdown,
 )
 from .blocks import BlockModule
@@ -152,7 +151,7 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         base = tower.level(m, n).piece(i).pres
         _, Zgens = _stable_v_infty_z(tower, i, m, n, cfg2.steps)
         B = _f_infty_b(tower, i, m, n)
-        S, reps = subquotient(base, Zgens, B)
+        S, reps = present_span(Zgens, quotient_by(base, B))
         exps = S.min_exps()
         # induced Frobenius on the heart generators, one level down
         lo = tower.level(m, n - 1)
@@ -325,13 +324,6 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
         L = tower.level(mm, nn)
         return Pres.direct_sum(L.R, [L.piece(g - 1).pres, L.piece(g).pres])
 
-    def vN(mm, nn):
-        Lx = tower.level(mm, nn)
-        qx = Lx.R.q
-        dv = (Lx.d(g - 1) @ mat_pow_mod(Lx.V(g - 1), N, qx)) % qx
-        vn = mat_pow_mod(Lx.V(g), N, qx)
-        return np.concatenate([dv, vn], axis=1) % qx
-
     def uN(mm, nn):
         # from level (mm, nn + N) into (mm, nn)
         Lhi = tower.level(mm, nn + N)
@@ -342,17 +334,18 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
     out = {}
     # H^0: cokernel of v_N (right exact, no correction needed)
     pg = tower.level(m, n).piece(g)
-    out[0] = quotient_by(pg.pres, vN(m, n)).min_exps()
+    out[0] = quotient_by(pg.pres, fil_gens(tower.level(m, n), N)[g]).min_exps()
 
     # H^-1: stabilized ker(v_N) modulo im(u_N)
     def step_v(k):
         mm, nn = m + k, n + k
         P = blockdiag(R, [tower.proj(g - 1, (mm, nn), (m, n)), tower.proj(g, (mm, nn), (m, n))])
-        return vN(mm, nn), pair_pres(mm, nn), tower.level(mm, nn).piece(g).pres, P
+        vN = fil_gens(tower.level(mm, nn), N)[g]
+        return vN, pair_pres(mm, nn), tower.level(mm, nn).piece(g).pres, P
 
     amb1 = pair_pres(m, n)
     K1, K1gens = eventual_kernel(step_v, amb1, steps=steps, what="ker v_N")
-    H1, _ = subquotient(amb1, K1gens, uN(m, n))
+    H1, _ = present_span(K1gens, quotient_by(amb1, uN(m, n)))
     out[-1] = H1.min_exps()
 
     # H^-2: stabilized kernel of u_N inside M(-1) at level (m, n + N)
@@ -363,7 +356,7 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
 
     amb2 = tower.level(m, n + N).piece(g - 1).pres
     K2, K2gens = eventual_kernel(step_u, amb2, steps=steps, what="ker u_N")
-    H2, _ = subquotient(amb2, K2gens, amb2.rels)
+    H2, _ = present_span(K2gens, amb2)
     out[-2] = H2.min_exps()
     return out
 
@@ -585,7 +578,7 @@ def _block_totalization(block: BlockModule, precision, cfg):
                     return Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres, P
 
                 K, Kgens = eventual_kernel(step, base, steps=cfg2.steps, what="ker d")
-                H, _ = subquotient(base, Kgens, L.d(g - 1))
+                H, _ = present_span(Kgens, quotient_by(base, L.d(g - 1)))
                 exps_pair.append(H.min_exps())
             lo, hi = exps_pair
             # free = exponents that keep growing with the precision

@@ -4,7 +4,10 @@ Everything the graded-module kernel needs reduces to a handful of
 primitives over Z/p^m: Smith normal form with unimodular transforms,
 kernels of matrices between modules with prescribed coordinate
 annihilators, membership tests, presentations of spans and quotients,
-and a division-free characteristic polynomial.
+and a division-free characteristic polynomial.  `smith_normal_form` is
+the only elimination: inverses (`invert_unimodular`), kernels
+(`kernel_gens`) and solves (`LinearSolver`, `Span`) all read its
+transforms.
 
 This module is the one builder of presentations: `Pres.direct_sum`
 (over `blockdiag`) is the only direct sum of presented modules, and
@@ -16,8 +19,9 @@ q = p^m.  `smith_normal_form` eliminates row-sparse over Python ints,
 so it is exact for every q; its cost grows with the nonzeros and their
 fill-in.  The `@` products elsewhere are int64: `ZMod` only enforces
 q^2 < 2^62, and a product with inner dimension k is exact only when
-k * (q - 1)^2 < 2^63; at q = 7^10 that allows k <= 115.  No product
-checks this bound yet.
+k * (q - 1)^2 < 2^63; at q = 7^10 that allows k <= 115.  This covers
+the product B @ A that forms an n x n inverse (inner dimension n).  No
+product checks this bound yet.
 """
 
 from __future__ import annotations
@@ -205,33 +209,14 @@ def _sub_multiple(vec, c, items, q):
 
 
 def invert_unimodular(U, R: ZMod) -> np.ndarray:
-    """Inverse of a matrix invertible over Z/p^m (Gauss-Jordan).
+    """Inverse of a matrix invertible over Z/p^m; ZeroDivisionError otherwise.
 
-    Every pivot of an invertible matrix over the local ring can be
-    chosen to be a unit, so a single elimination sweep suffices.
+    With A U B = 1 from the Smith normal form, the inverse is B A.
     """
-    n = U.shape[0]
-    q = R.q
-    A = R.reduce(U).copy()
-    B = R.eye(n)
-    for t in range(n):
-        col = A[t:, t] % R.p
-        rel = int(np.argmax(col != 0))
-        if not col[rel]:
-            raise ZeroDivisionError("matrix is not invertible over Z/p^m")
-        piv = rel + t
-        if piv != t:
-            A[[t, piv]] = A[[piv, t]]
-            B[[t, piv]] = B[[piv, t]]
-        inv = R.inv_unit(A[t, t])
-        A[t] = (A[t] * inv) % q
-        B[t] = (B[t] * inv) % q
-        other = [i for i in range(n) if i != t and A[i, t]]
-        if other:
-            c = A[other, t][:, None]
-            A[other] = (A[other] - c * A[t]) % q
-            B[other] = (B[other] - c * B[t]) % q
-    return B
+    A, B, exps = smith_normal_form(U, R)
+    if U.shape[0] != U.shape[1] or any(exps):
+        raise ZeroDivisionError("matrix is not invertible over Z/p^m")
+    return (B @ A) % R.q
 
 
 def kernel_gens(A, R: ZMod, src_exps=None) -> np.ndarray:
@@ -245,16 +230,10 @@ def kernel_gens(A, R: ZMod, src_exps=None) -> np.ndarray:
         gens.append(R.eye(cols))
     else:
         _, V, exps = smith_normal_form(A, R, left=False)
+        exps = np.array(exps, dtype=np.int64)
         r = len(exps)
-        cols_list = []
-        for t in range(r):
-            if exps[t] == 0:
-                continue
-            cols_list.append((V[:, t] * (R.p ** (R.m - exps[t]))) % R.q)
-        for t in range(r, cols):
-            cols_list.append(V[:, t])
-        if cols_list:
-            gens.append(np.stack(cols_list, axis=1))
+        scaled = (V[:, :r] * R.p ** (R.m - exps)) % R.q
+        gens += [scaled[:, exps > 0], V[:, r:]]
     if src_exps is not None:
         lat = np.diag([R.p ** min(e, R.m) for e in src_exps]).astype(np.int64) % R.q
         gens.append(lat)
@@ -311,16 +290,6 @@ class LinearSolver(Span):
         if y is None:
             return None
         return (self.V[:, : len(y)] @ y) % self.R.q
-
-
-def solve(A, b, R: ZMod):
-    """One solution x of A x = b, or None."""
-    return LinearSolver(A, R).solve(b)
-
-
-def member(G, x, R: ZMod) -> bool:
-    """Is x in the span of the columns of G?"""
-    return solve(G, x, R) is not None
 
 
 class Pres:
@@ -419,12 +388,6 @@ class Pres:
         return f"Pres({self.R!r}, exps={self.min_exps()})"
 
 
-def map_is_welldefined(A, src: Pres, dst: Pres) -> bool:
-    """Does the matrix A send the relations of src into those of dst?"""
-    R = src.R
-    return dst.rel_span().contains_all((R.reduce(A) @ src.rels) % R.q)
-
-
 def kernel_into(A, src: Pres, dst: Pres) -> np.ndarray:
     """Generators of ker(A : src -> dst) in source coordinates.
 
@@ -487,19 +450,6 @@ def quotient_by(amb: Pres, extra) -> Pres:
     extra = R.reduce(extra)
     rels = np.concatenate([amb.rels, extra], axis=1) % R.q
     return Pres(R, amb.ngens, rels)
-
-
-def subquotient(amb: Pres, top, bot):
-    """(span(top) + rels)/(span(bot) + rels) inside amb.
-
-    Returns (S, reps) with S a Pres on the columns of top and reps = top
-    (coordinate representatives in amb).
-    """
-    R = amb.R
-    top = R.reduce(top)
-    amb_bot = quotient_by(amb, bot)
-    S_rels = kernel_into(top, Pres.free(R, top.shape[1]), amb_bot)
-    return Pres(R, top.shape[1], S_rels), top
 
 
 def blockdiag(R: ZMod, blocks, rows=None) -> np.ndarray:

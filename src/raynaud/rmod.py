@@ -18,6 +18,10 @@ Kernels and cohomology at a single level carry truncation phantoms
 image along level transitions, with double-step stabilization
 detection (`Unstable` when the configured maximum is reached).
 
+`fil_gens` is the one builder of Fil^s: the truncation levels of a
+`ModelTower`, `standard_filtration`, the finite-length check and the
+v_N map of the Hodge complex all take (dV^s | V^s) from it.
+
 `SumTower` is the one direct-sum tower: one summand with a shift is a
 grading-shifted tower, and no summand at all is the zero tower.
 Sub-objects (`sub_level`) take their generators and presentations from
@@ -35,7 +39,6 @@ from .linalg import (
     blockdiag,
     induced_matrix,
     kernel_into,
-    map_is_welldefined,
     minimal_gens,
     present_span,
     quotient_by,
@@ -160,27 +163,32 @@ def mat_pow_mod(A, s: int, q: int) -> np.ndarray:
     return np.eye(A.shape[0], dtype=np.int64) if out is None else out
 
 
-def fil_gens(level: Level, i: int, s: int) -> np.ndarray:
-    """Generators of Fil^s at grading i: V^s M^i + d V^s M^(i-1)."""
-    R = level.R
-    piece = level.piece(i)
-    cols = [mat_pow_mod(level.V(i), s, R.q)]
-    prev = level.piece(i - 1)
-    if prev.ngens:
-        dv = (level.d(i - 1) @ mat_pow_mod(level.V(i - 1), s, R.q)) % R.q
-        cols.append(dv)
-    G = np.concatenate(cols, axis=1) % R.q
-    G = G[:, G.any(axis=0)]
-    return G if G.size else R.zeros(piece.ngens, 0)
+def fil_gens(level: Level, s: int) -> dict:
+    """Fil^s = d V^s M^(i-1) + V^s M^i of one level, per grading.
+
+    Returns, for each grading i of the level and each grading just above
+    one, the matrix (dV^s | V^s) of the map M^(i-1) + M^i -> M^i whose
+    image is Fil^s M^i.  Zero columns are kept.  Each V^s is formed once.
+    """
+    q = level.R.q
+    present = set(level.pieces)
+    out = {}
+    below = level.R.zeros(0, 0)  # V^s on M^(i-1); 0 x 0 where M^(i-1) is absent
+    for i in sorted(present | {g + 1 for g in present}):
+        vs = mat_pow_mod(level.V(i), s, q)
+        out[i] = np.concatenate([(level.d(i - 1) @ below) % q, vs], axis=1)
+        below = vs
+    return out
 
 
 def standard_filtration(level: Level, s: int):
     """Per-grading generator matrices of Fil^s, with F_p-lengths."""
     if s < 0 or s > level.n:
         raise ValueError("filtration index out of range 0..n")
+    fil = fil_gens(level, s)
     out = {}
     for i in level.gradings():
-        G = fil_gens(level, i, s)
+        G = fil[i][:, fil[i].any(axis=0)]
         sub, _ = present_span(G, level.piece(i).pres)
         out[i] = {"gens": G, "length": sub.length()}
     return out
@@ -229,14 +237,12 @@ def check_relations(tower: Tower, m: int, n: int, scalar=None) -> RelationReport
         if piece.ngens == 0:
             continue
         P = tower.proj(i, (m, n), (m, n - 1))
-        # well-definedness
-        if not map_is_welldefined(hi.V(i), piece.pres, piece.pres):
-            rep.add("V well-defined", i, None)
-        if not map_is_welldefined(hi.d(i), piece.pres, hi.piece(i + 1).pres):
-            rep.add("d well-defined", i, None)
+        # well-definedness: relations go to relations
+        rels = piece.pres.rels
+        rep.require_zero("V well-defined", i, hi.V(i) @ rels, piece.pres)
+        rep.require_zero("d well-defined", i, hi.d(i) @ rels, hi.piece(i + 1).pres)
         Ft = tower.F_true(i, m, n)
-        if not map_is_welldefined(Ft, piece.pres, piece_lo.pres):
-            rep.add("F well-defined", i, None)
+        rep.require_zero("F well-defined", i, Ft @ rels, piece_lo.pres)
         FV = (tower.F_true(i, m, n) @ hi.V(i)) % lo.R.q
         rep.require_zero("FV = p", i, FV - p * P, piece_lo.pres)
         VF = (lo.V(i) @ Ft) % lo.R.q
@@ -359,9 +365,11 @@ class ModelTower(Tower):
             )
         R = ZMod(self.model.R.p, min(m, self.model.R.m))
         pieces, V, d, F = {}, {}, {}, {}
+        fil = fil_gens(self.model, n)
         for i in self.model.gradings():
             mp = self.model.piece(i)
-            extra = fil_gens(self.model, i, n)
+            extra = fil.pop(i)
+            extra = extra[:, extra.any(axis=0)]
             rels = np.concatenate([mp.pres.rels, extra], axis=1) % R.q
             pieces[i] = LevelPiece(mp.labels, Pres(R, mp.ngens, rels))
             V[i] = self.model.V(i) % R.q

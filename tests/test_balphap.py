@@ -199,7 +199,7 @@ def test_page_algebra_deep_columns_and_vanishing():
     # first row stays zero beyond the (1,1) cell
     import numpy as np
     from raynaud.balphap import row1_map
-    from raynaud.linalg import Pres, kernel_into, subquotient
+    from raynaud.linalg import Pres, kernel_into, present_span, quotient_by
     from raynaud.rmod import stable_pushdown
 
     p, m, n = 2, 3, 8
@@ -234,5 +234,5 @@ def test_page_algebra_deep_columns_and_vanishing():
             return K, P
 
         Kst, Kgens = stable_pushdown(ker_at, src, steps=4, what=f"row-1 column {col}")
-        S, _ = subquotient(src, Kgens, maps[col])
+        S, _ = present_span(Kgens, quotient_by(src, maps[col]))
         assert S.min_exps() == [], f"E2^{{{col},1}} should vanish"

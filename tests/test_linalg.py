@@ -22,16 +22,14 @@ from raynaud.linalg import (
     invert_unimodular,
     kernel_gens,
     kernel_into,
-    member,
     minimal_gens,
     present_span,
     Pres,
     quotient_by,
     smith_normal_form,
-    solve,
-    subquotient,
 )
-from raynaud.rmod import _same_span, mat_pow_mod
+from raynaud.blocks import make_block
+from raynaud.rmod import _same_span, fil_gens, mat_pow_mod
 
 
 def enumerate_vectors(q, n):
@@ -136,12 +134,12 @@ def test_solve_and_membership():
     for _ in range(30):
         x = rng.integers(0, R.q, size=2)
         b = (A @ x) % R.q
-        s = solve(A, b, R)
+        s = LinearSolver(A, R).solve(b)
         assert s is not None
         assert np.array_equal((A @ s) % R.q, b)
-    assert member(A, (A @ [1, 1]) % R.q, R)
+    assert Span(A, R).contains((A @ [1, 1]) % R.q)
     # 1 is odd, image of A has even first coordinate combinations only if...
-    assert solve(R.reduce([[2], [0]]), [1, 0], R) is None
+    assert LinearSolver(R.reduce([[2], [0]]), R).solve([1, 0]) is None
 
 
 def test_presentation_normal_form():
@@ -160,7 +158,7 @@ def test_present_span_and_subquotient():
     G = R.reduce([[1], [1]])
     K, incl = present_span(G, amb)
     assert K.min_exps() == [1]
-    S, reps = subquotient(amb, R.eye(2), G)
+    S, reps = present_span(R.eye(2), quotient_by(amb, G))
     assert S.min_exps() == [1]
 
 
@@ -494,6 +492,82 @@ def test_mat_pow_mod_matches_naive_product(case):
         naive = (A @ naive) % R.q
 
 
+def _gauss_jordan_inverse(U, R):
+    """Inverse of a matrix invertible over Z/p^m by one Gauss-Jordan sweep.
+
+    Every pivot of an invertible matrix over the local ring can be
+    chosen to be a unit.  Kept only as the oracle for
+    `invert_unimodular`, which reads the inverse off a Smith normal form.
+    """
+    n = U.shape[0]
+    q = R.q
+    A = R.reduce(U).copy()
+    B = R.eye(n)
+    for t in range(n):
+        col = A[t:, t] % R.p
+        rel = int(np.argmax(col != 0))
+        if not col[rel]:
+            raise ZeroDivisionError("matrix is not invertible over Z/p^m")
+        piv = rel + t
+        if piv != t:
+            A[[t, piv]] = A[[piv, t]]
+            B[[t, piv]] = B[[piv, t]]
+        inv = R.inv_unit(A[t, t])
+        A[t] = (A[t] * inv) % q
+        B[t] = (B[t] * inv) % q
+        other = [i for i in range(n) if i != t and A[i, t]]
+        if other:
+            c = A[other, t][:, None]
+            A[other] = (A[other] - c * A[t]) % q
+            B[other] = (B[other] - c * B[t]) % q
+    return B
+
+
+# unimodular matrices up to 250 x 250: the Smith transforms of sparse ones
+@settings(PROPERTY, max_examples=25)
+@given(sparse_matrices(max_rows=250, max_cols=250, densities=(0.002, 0.01, 0.05)))
+def test_invert_unimodular_matches_gauss_jordan(case):
+    R, A = case
+    U, V, _ = smith_normal_form(A, R)
+    for T in (U, V):
+        inv = invert_unimodular(T, R)
+        ref = _gauss_jordan_inverse(T, R)
+        assert inv.dtype == ref.dtype and inv.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1)])
+def test_invert_unimodular_refuses_singular_matrices(p, m):
+    R = ZMod(p, m)
+    for singular in ([[1, 0], [0, p]], [[1, 0], [0, 0]], [[1, 1], [1, 1 + p]]):
+        with pytest.raises(ZeroDivisionError):
+            invert_unimodular(R.reduce(singular), R)
+
+
+FIL_BLOCKS = [
+    ("Domino", {"t": 0}),
+    ("Domino", {"t": -1}),
+    ("Dieudonne", {"i": 1, "j": 1}),
+    ("UnitW", {}),
+    ("DAlphaP", {}),
+]
+
+
+@pytest.mark.parametrize("kind,params", FIL_BLOCKS)
+def test_fil_gens_is_d_v_power_beside_v_power(kind, params):
+    L = make_block(kind, 2, **params).tower.level(3, 5)
+    q = L.R.q
+    above = {g + 1 for g in L.gradings()}
+    for s in range(L.n + 1):
+        fil = fil_gens(L, s)
+        assert sorted(fil) == sorted(set(L.gradings()) | above)
+        for i, got in fil.items():
+            below, here = L.R.eye(L.piece(i - 1).ngens), L.R.eye(L.piece(i).ngens)
+            for _ in range(s):
+                below, here = (L.V(i - 1) @ below) % q, (L.V(i) @ here) % q
+            want = np.concatenate([(L.d(i - 1) @ below) % q, here], axis=1)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # membership, solving and kernels against enumeration of every vector of
 # (Z/q)^k: matrices of at most 3 x 3 over Z/q with q <= 9
@@ -528,7 +602,7 @@ def test_span_contains_and_member_match_enumeration(case, data):
     for x in enumerate_vectors(R.q, G.shape[0]):
         assert span.contains(x) == (x in inside)
     x = data.draw(st.lists(st.integers(0, R.q - 1), min_size=G.shape[0], max_size=G.shape[0]))
-    assert member(G, x, R) == (tuple(x) in inside)
+    assert Span(G, R).contains(x) == (tuple(x) in inside)
     assert span.contains_all(np.array([x], dtype=np.int64).T) == (tuple(x) in inside)
 
 

@@ -52,11 +52,12 @@ def test_block_relations_r2_with_semilinearity(kind, params):
 class _Mutated(Tower):
     """Test helper: override operators at a single level."""
 
-    def __init__(self, inner, swap_fv=False, zero_d_at=None):
+    def __init__(self, inner, swap_fv=False, zero_d_at=None, transpose_v=False):
         super().__init__(inner.p, inner.r)
         self.inner = inner
         self.swap_fv = swap_fv
         self.zero_d_at = zero_d_at
+        self.transpose_v = transpose_v
 
     def gradings(self):
         return self.inner.gradings()
@@ -74,6 +75,8 @@ class _Mutated(Tower):
             V, F = F, V
         if self.zero_d_at == (m, n):
             d = {i: np.zeros_like(mat) for i, mat in d.items()}
+        if self.transpose_v:
+            V = {i: mat.T.copy() for i, mat in V.items()}
         return Level(L.R, L.n, L.pieces, V, d, F, r=L.r)
 
 
@@ -84,6 +87,16 @@ def test_mutation_zeroed_d_fails_only_d_identities():
     assert rep.identities() == ["FdV = d"]
     # gradings where d is zero anyway are not flagged
     assert all(v["grading"] == 0 for v in rep.violations)
+
+
+def test_mutation_v_not_preserving_relations_reports_a_witness():
+    # E_{1/2} at (3, 5) is Z/8 e_0 + Z/4 e_1; the transposed V sends the
+    # relation 4 e_1 to 4 e_0, which is nonzero
+    e = make_block("Dieudonne", 2, i=1, j=1)
+    rep = check_relations(_Mutated(e.tower, transpose_v=True), 3, 5)
+    found = [v for v in rep.violations if v["identity"] == "V well-defined"]
+    assert found and all(v["witness"] is not None for v in found)
+    assert found[0]["witness"]["image"] == [4, 0]
 
 
 def test_mutation_swapped_fv_fails_semilinearity_only_for_twisted_field():

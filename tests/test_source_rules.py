@@ -18,3 +18,38 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _references(path):
+    """(name, line) for every Name, Attribute and `from ... import` name in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_every_module_level_definition_is_used():
+    # code that nothing calls is deleted; a name only tests use does not count
+    root = SRC.parent.parent
+    files = [f for d in ("src", "demos", "bench") for f in sorted((root / d).rglob("*.py"))]
+    refs = {}
+    for path in files:
+        for name, line in _references(path):
+            refs.setdefault(name, []).append((path, line))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            outside = [
+                (f, line)
+                for f, line in refs.get(node.name, [])
+                if f != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                unused.append(f"{path.name}:{node.name}")
+    assert not unused, f"module-level definitions nothing uses: {unused}"
