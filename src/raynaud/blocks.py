@@ -196,7 +196,7 @@ class DieudonneTower(BlockTower):
         Fm = np.kron(Fc, sig) % R.q
         Vm = np.kron(Vc, sig_inv) % R.q
         h = (self.i + self.j) * self.r
-        rels = mat_pow_mod(Vm, n, R.q)
+        rels = mat_pow_mod(Vm, n, R)
         rels = rels[:, rels.any(axis=0)]
         labels = [("b", s, c) for s in range(self.i + self.j) for c in range(self.r)]
         pieces = {0: LevelPiece(labels, Pres(R, h, rels))}

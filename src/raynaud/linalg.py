@@ -17,11 +17,17 @@ presentation, so a caller never presents the same span twice.
 Matrices are numpy int64 arrays with entries reduced into [0, q),
 q = p^m.  `smith_normal_form` eliminates row-sparse over Python ints,
 so it is exact for every q; its cost grows with the nonzeros and their
-fill-in.  The `@` products elsewhere are int64: `ZMod` only enforces
-q^2 < 2^62, and a product with inner dimension k is exact only when
-k * (q - 1)^2 < 2^63; at q = 7^10 that allows k <= 115.  This covers
-the product B @ A that forms an n x n inverse (inner dimension n).  No
-product checks this bound yet.
+fill-in.  Every matrix product of this module and of `rmod` goes
+through `ZMod.matmul`, which checks the bound k * (q - 1)^2 for inner
+dimension k: below 2^53 it multiplies large products in float64
+through BLAS, below 2^63 it uses int64, and above that Python ints, so
+none of these products can overflow silently.  They are the squarings
+of `rmod.mat_pow_mod`, Fil^s (`rmod.fil_gens`), the induced operators
+of `rmod.sub_level`, the relation and transition checks, inverses,
+solves, membership tests and `charpoly`.  The `@` products in `star`,
+`homs`, `invariants` and `balphap` are still plain int64 and unchecked:
+there k * (q - 1)^2 must stay below 2^63 (at q = 7^10, k <= 115).
+`ZMod` itself still refuses q^2 >= 2^62.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 _INT64_SAFE = 2**62
+_FLOAT64_EXACT = 2**53  # float64 holds every integer below this exactly
+_INT64_EXACT = 2**63
+_BLAS_MIN_WORK = 2**16  # multiply-adds of the smallest product sent to BLAS
 
 
 class ZMod:
@@ -64,6 +73,31 @@ class ZMod:
 
     def reduce(self, A) -> np.ndarray:
         return np.asarray(A, dtype=np.int64) % self.q
+
+    def matmul(self, A, B) -> np.ndarray:
+        """The exact product A @ B mod q, reduced into [0, q).
+
+        Both factors are reduced first, so a product with inner
+        dimension k sums k terms of at most (q - 1)^2.  While that sum
+        stays below 2^53 every partial sum is an integer float64 holds
+        exactly, whatever order BLAS adds in, so the product runs in
+        float64 (numpy has no BLAS for int64); below 2^63 it runs in
+        int64, and above that over Python ints.  Products of fewer than
+        _BLAS_MIN_WORK multiply-adds stay in int64 even below 2^53: there
+        the float64 round trip saves at most tens of microseconds, and a
+        process's first BLAS call costs about half a MiB of resident
+        memory.
+        """
+        A, B = self.reduce(A), self.reduce(B)
+        bound = A.shape[-1] * (self.q - 1) ** 2
+        work = A.size * (B.shape[1] if B.ndim == 2 else 1)
+        if bound < _FLOAT64_EXACT and work >= _BLAS_MIN_WORK:
+            C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+        elif bound < _INT64_EXACT:
+            C = A @ B
+        else:
+            C = np.asarray((A.astype(object) @ B.astype(object)) % self.q, dtype=np.int64)
+        return C % self.q
 
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)
@@ -208,37 +242,41 @@ def _sub_multiple(vec, c, items, q):
             vec.pop(j, None)
 
 
-def invert_unimodular(U, R: ZMod) -> np.ndarray:
+def invert_unimodular(U, R: ZMod, cols=None) -> np.ndarray:
     """Inverse of a matrix invertible over Z/p^m; ZeroDivisionError otherwise.
 
-    With A U B = 1 from the Smith normal form, the inverse is B A.
+    With A U B = 1 from the Smith normal form, the inverse is B A.  With
+    `cols` (a list of column indices) only those columns of the inverse
+    are formed.
     """
     A, B, exps = smith_normal_form(U, R)
     if U.shape[0] != U.shape[1] or any(exps):
         raise ZeroDivisionError("matrix is not invertible over Z/p^m")
-    return (B @ A) % R.q
+    return R.matmul(B, A if cols is None else A[:, cols])
 
 
-def kernel_gens(A, R: ZMod, src_exps=None) -> np.ndarray:
+def kernel_gens(A, R: ZMod, src_exps=None, rows=None) -> np.ndarray:
     """Generators (columns) of {x : A x = 0 over Z/p^m}, where source
     coordinate j is understood mod p^src_exps[j] (plain Z/p^m if omitted).
+
+    With `rows`, only the first `rows` coordinates of each generator are
+    formed, and generators that vanish there are dropped.
     """
     A = R.reduce(A)
-    rows, cols = A.shape
+    cols = A.shape[1]
     gens = []
-    if rows == 0 or not A.any():
-        gens.append(R.eye(cols))
+    if A.shape[0] == 0 or not A.any():
+        gens.append(R.eye(cols)[:rows])
     else:
         _, V, exps = smith_normal_form(A, R, left=False)
+        V = V[:rows]
         exps = np.array(exps, dtype=np.int64)
         r = len(exps)
         scaled = (V[:, :r] * R.p ** (R.m - exps)) % R.q
         gens += [scaled[:, exps > 0], V[:, r:]]
     if src_exps is not None:
         lat = np.diag([R.p ** min(e, R.m) for e in src_exps]).astype(np.int64) % R.q
-        gens.append(lat)
-    if not gens:
-        return R.zeros(cols, 0)
+        gens.append(lat[:rows])
     G = np.concatenate(gens, axis=1) % R.q
     return G[:, G.any(axis=0)] if G.size else G
 
@@ -256,23 +294,25 @@ class Span:
         self.shape = G.shape
         self.U, _, self.exps = smith_normal_form(G, R, right=False)
 
-    def _diagonal_quotient(self, x):
-        """y with diag(p^exps) y = U x, or None when x is not in the span
-        (a diagonal entry 0 in Z/p^m, or a row past the diagonal, needs 0)."""
+    def _diagonal_quotient(self, X):
+        """Y with diag(p^exps) Y = U X, or None when some column of X (or
+        the vector X) is not in the span (a diagonal entry 0 in Z/p^m, or
+        a row past the diagonal, needs 0)."""
         R = self.R
         pe = np.full(self.shape[0], R.q, dtype=np.int64)
         r = len(self.exps)
         pe[:r] = [R.p**e if e < R.m else R.q for e in self.exps]
-        c = (self.U @ R.reduce(x).reshape(-1)) % R.q
+        c = R.matmul(self.U, X)
+        pe = pe.reshape((-1,) + (1,) * (c.ndim - 1))
         if (c % pe).any():
             return None
         return c[:r] // pe[:r]
 
     def contains(self, x) -> bool:
-        return self._diagonal_quotient(x) is not None
+        return self._diagonal_quotient(np.reshape(x, -1)) is not None
 
     def contains_all(self, H) -> bool:
-        return all(self.contains(H[:, j]) for j in range(H.shape[1]))
+        return self._diagonal_quotient(H) is not None
 
 
 class LinearSolver(Span):
@@ -286,10 +326,13 @@ class LinearSolver(Span):
         self.U, self.V, self.exps = smith_normal_form(A, R)
 
     def solve(self, b):
+        """x with A x = b, or None when b is not in the image.  For a
+        matrix b, x solves every column at once (None if any column is
+        outside the image)."""
         y = self._diagonal_quotient(b)
         if y is None:
             return None
-        return (self.V[:, : len(y)] @ y) % self.R.q
+        return self.R.matmul(self.V[:, : len(y)], y)
 
 
 class Pres:
@@ -397,7 +440,7 @@ def kernel_into(A, src: Pres, dst: Pres) -> np.ndarray:
     R = src.R
     # unknowns (x, y) with A x - rels_dst y = 0 over Z/q
     big = np.concatenate([R.reduce(A), (-dst.rels) % R.q], axis=1)
-    G = kernel_gens(big, R)[: src.ngens, :]
+    G = kernel_gens(big, R, rows=src.ngens)
     G = np.concatenate([G, src.rels], axis=1) % R.q
     G = G[:, G.any(axis=0)]
     return G if G.size else R.zeros(src.ngens, 0)
@@ -436,12 +479,11 @@ def minimal_gens(G, amb: Pres, K=None):
     if K is None:
         K, _ = present_span(G, amb)
     exps, P = K.normal_form()
-    Pinv = invert_unimodular(P, R)
     keep = [t for t, e in enumerate(exps) if e > 0]
     pe = np.array([R.p ** exps[t] for t in keep], dtype=np.int64) % R.q
     pres = Pres(R, len(keep), np.diag(pe)[:, pe != 0])
     pres._nf = ([exps[t] for t in keep], R.eye(len(keep)))
-    return (G @ Pinv[:, keep]) % R.q, pres
+    return R.matmul(G, invert_unimodular(P, R, cols=keep)), pres
 
 
 def quotient_by(amb: Pres, extra) -> Pres:
@@ -478,14 +520,8 @@ def induced_matrix(img, dst_gens, dst: Pres):
     if not img.shape[1]:
         return R.zeros(dst_gens.shape[1], 0)
     big = np.concatenate([dst_gens, dst.rels], axis=1) % R.q
-    solver = LinearSolver(big, R)
-    cols = []
-    for j in range(img.shape[1]):
-        sol = solver.solve(img[:, j])
-        if sol is None:
-            return None
-        cols.append(sol[: dst_gens.shape[1]])
-    return np.stack(cols, axis=1) % R.q
+    sol = LinearSolver(big, R).solve(img)
+    return None if sol is None else sol[: dst_gens.shape[1]]
 
 
 def charpoly(A, R: ZMod) -> list:
@@ -507,11 +543,11 @@ def charpoly(A, R: ZMod) -> list:
         col = A[:k, k] % q
         Mk = A[:k, :k]
         # powers row @ Mk^j @ col for j = 0..k-1
-        terms = [int(row @ col % q)]
+        terms = [int(R.matmul(row, col))]
         v = col.copy()
         for _ in range(k - 1):
-            v = (Mk @ v) % q
-            terms.append(int(row @ v % q))
+            v = R.matmul(Mk, v)
+            terms.append(int(R.matmul(row, v)))
         # Toeplitz vector t = [1, -a, -terms[0], -terms[1], ...]
         t = [1, (-a) % q] + [(-x) % q for x in terms]
         newC = np.zeros(k + 2, dtype=np.int64)

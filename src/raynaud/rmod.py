@@ -138,7 +138,7 @@ class Tower:
         """The operator F as a map level(m, n) -> level(m, n-1)."""
         L = self.level(m, n)
         P = self.proj(i, (m, n), (m, n - 1))
-        return (P @ L.F_lift(i)) % self.level(m, n - 1).R.q
+        return self.level(m, n - 1).R.matmul(P, L.F_lift(i))
 
 
 def compose_F(tower: Tower, i: int, m: int, n: int, steps: int) -> np.ndarray:
@@ -146,21 +146,21 @@ def compose_F(tower: Tower, i: int, m: int, n: int, steps: int) -> np.ndarray:
     L = tower.level(m, n)
     A = np.eye(L.piece(i).ngens, dtype=np.int64)
     for s in range(steps):
-        A = (tower.F_true(i, m, n - s) @ A) % tower.level(m, n - s - 1).R.q
+        A = tower.level(m, n - s - 1).R.matmul(tower.F_true(i, m, n - s), A)
     return A
 
 
-def mat_pow_mod(A, s: int, q: int) -> np.ndarray:
-    """A^s mod q by repeated squaring."""
-    A = np.asarray(A, dtype=np.int64) % q
+def mat_pow_mod(A, s: int, R: ZMod) -> np.ndarray:
+    """A^s over R by repeated squaring."""
+    A = R.reduce(A)
     out = None
     while s:
         if s & 1:
-            out = A if out is None else (out @ A) % q
+            out = A if out is None else R.matmul(out, A)
         s >>= 1
         if s:
-            A = (A @ A) % q
-    return np.eye(A.shape[0], dtype=np.int64) if out is None else out
+            A = R.matmul(A, A)
+    return R.eye(A.shape[0]) if out is None else out
 
 
 def fil_gens(level: Level, s: int) -> dict:
@@ -170,13 +170,13 @@ def fil_gens(level: Level, s: int) -> dict:
     one, the matrix (dV^s | V^s) of the map M^(i-1) + M^i -> M^i whose
     image is Fil^s M^i.  Zero columns are kept.  Each V^s is formed once.
     """
-    q = level.R.q
+    R = level.R
     present = set(level.pieces)
     out = {}
-    below = level.R.zeros(0, 0)  # V^s on M^(i-1); 0 x 0 where M^(i-1) is absent
+    below = R.zeros(0, 0)  # V^s on M^(i-1); 0 x 0 where M^(i-1) is absent
     for i in sorted(present | {g + 1 for g in present}):
-        vs = mat_pow_mod(level.V(i), s, q)
-        out[i] = np.concatenate([(level.d(i - 1) @ below) % q, vs], axis=1)
+        vs = mat_pow_mod(level.V(i), s, R)
+        out[i] = np.concatenate([R.matmul(level.d(i - 1), below), vs], axis=1)
         below = vs
     return out
 
@@ -231,7 +231,7 @@ def check_relations(tower: Tower, m: int, n: int, scalar=None) -> RelationReport
     """
     rep = RelationReport()
     hi, lo = tower.level(m, n), tower.level(m, n - 1)
-    p = tower.p
+    p, Rh, Rl = tower.p, hi.R, lo.R
     for i in tower.gradings():
         piece, piece_lo = hi.piece(i), lo.piece(i)
         if piece.ngens == 0:
@@ -239,27 +239,27 @@ def check_relations(tower: Tower, m: int, n: int, scalar=None) -> RelationReport
         P = tower.proj(i, (m, n), (m, n - 1))
         # well-definedness: relations go to relations
         rels = piece.pres.rels
-        rep.require_zero("V well-defined", i, hi.V(i) @ rels, piece.pres)
-        rep.require_zero("d well-defined", i, hi.d(i) @ rels, hi.piece(i + 1).pres)
+        rep.require_zero("V well-defined", i, Rh.matmul(hi.V(i), rels), piece.pres)
+        rep.require_zero("d well-defined", i, Rh.matmul(hi.d(i), rels), hi.piece(i + 1).pres)
         Ft = tower.F_true(i, m, n)
-        rep.require_zero("F well-defined", i, Ft @ rels, piece_lo.pres)
-        FV = (tower.F_true(i, m, n) @ hi.V(i)) % lo.R.q
+        rep.require_zero("F well-defined", i, Rl.matmul(Ft, rels), piece_lo.pres)
+        FV = Rl.matmul(Ft, hi.V(i))
         rep.require_zero("FV = p", i, FV - p * P, piece_lo.pres)
-        VF = (lo.V(i) @ Ft) % lo.R.q
+        VF = Rl.matmul(lo.V(i), Ft)
         rep.require_zero("VF = p", i, VF - p * P, piece_lo.pres)
-        lhs = (tower.F_true(i + 1, m, n) @ hi.d(i) @ hi.V(i)) % lo.R.q
-        rhs = (lo.d(i) @ P) % lo.R.q
+        lhs = Rl.matmul(tower.F_true(i + 1, m, n), Rl.matmul(hi.d(i), hi.V(i)))
+        rhs = Rl.matmul(lo.d(i), P)
         rep.require_zero("FdV = d", i, lhs - rhs, lo.piece(i + 1).pres)
-        dd = (hi.d(i + 1) @ hi.d(i)) % hi.R.q
+        dd = Rh.matmul(hi.d(i + 1), hi.d(i))
         rep.require_zero("dd = 0", i, dd, hi.piece(i + 2).pres)
         if scalar is not None and tower.r > 1:
             Ma = tower.scalar_matrix(i, scalar, m, n)
             Msig = tower.scalar_matrix(i, scalar.frobenius(), m, n - 1)
             Minv = tower.scalar_matrix(i, scalar.frobenius_inverse(), m, n)
-            rep.require_zero("Fa = sigma(a)F", i, (Ft @ Ma - Msig @ Ft) % lo.R.q, piece_lo.pres)
-            rep.require_zero(
-                "Va = sigma^-1(a)V", i, (hi.V(i) @ Ma - Minv @ hi.V(i)) % hi.R.q, piece.pres
-            )
+            Fa = Rl.matmul(Ft, Ma) - Rl.matmul(Msig, Ft)
+            rep.require_zero("Fa = sigma(a)F", i, Fa, piece_lo.pres)
+            Va = Rh.matmul(hi.V(i), Ma) - Rh.matmul(Minv, hi.V(i))
+            rep.require_zero("Va = sigma^-1(a)V", i, Va, piece.pres)
     return rep
 
 
@@ -276,24 +276,25 @@ def check_transitions(tower: Tower, m: int, n: int) -> RelationReport:
     """Transitions are surjective and commute with V, d (and F via FdV)."""
     rep = RelationReport()
     hi, lo = tower.level(m, n), tower.level(m, n - 1)
+    Rl = lo.R
     for i in tower.gradings():
         P = tower.proj(i, (m, n), (m, n - 1))
         # surjectivity: every lo generator is hit
         C = quotient_by(lo.piece(i).pres, P)
         if not C.is_zero():
             rep.add("transition surjective", i, None)
-        lhsV = (lo.V(i) @ P) % lo.R.q
-        rhsV = (P @ hi.V(i)) % lo.R.q
+        lhsV = Rl.matmul(lo.V(i), P)
+        rhsV = Rl.matmul(P, hi.V(i))
         rep.require_zero("transition commutes with V", i, lhsV - rhsV, lo.piece(i).pres)
         Pn = tower.proj(i + 1, (m, n), (m, n - 1))
-        lhsd = (lo.d(i) @ P) % lo.R.q
-        rhsd = (Pn @ hi.d(i)) % lo.R.q
+        lhsd = Rl.matmul(lo.d(i), P)
+        rhsd = Rl.matmul(Pn, hi.d(i))
         rep.require_zero("transition commutes with d", i, lhsd - rhsd, lo.piece(i + 1).pres)
         if n >= 2:
             lo2 = tower.level(m, n - 2)
             P2 = tower.proj(i, (m, n - 1), (m, n - 2))
-            lhsF = (P2 @ tower.F_true(i, m, n)) % lo2.R.q
-            rhsF = (tower.F_true(i, m, n - 1) @ P) % lo2.R.q
+            lhsF = lo2.R.matmul(P2, tower.F_true(i, m, n))
+            rhsF = lo2.R.matmul(tower.F_true(i, m, n - 1), P)
             rep.require_zero("transition commutes with F", i, lhsF - rhsF, lo2.piece(i).pres)
     return rep
 
@@ -320,7 +321,7 @@ def sub_level(amb: Level, subs) -> Level:
         into = [(amb.V(g), G, V, g), (amb.F_lift(g), G, F, g)]
         if g - 1 in subs:
             into.append((amb.d(g - 1), subs[g - 1][0], d, g - 1))
-        img = np.concatenate([op @ Gs for op, Gs, _, _ in into], axis=1) % R.q
+        img = np.concatenate([R.matmul(op, Gs) for op, Gs, _, _ in into], axis=1)
         B = induced_matrix(img, G, amb.piece(g).pres)
         if B is None:
             raise Unstable("operator does not preserve the span of the chosen generators")
@@ -440,7 +441,7 @@ def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
     prev = None
     for k in range(1, steps + 1):
         gens, proj = gens_at(k)
-        G = (R.reduce(proj) @ R.reduce(gens)) % R.q
+        G = R.matmul(proj, gens)
         K, _ = present_span(G, base_piece)
         if prev is not None:
             Kp, Gp = prev

@@ -474,7 +474,7 @@ def band_alpha(E_params, band: BandModel):
 
     @functools.cache
     def power(op, g, s):
-        return mat_pow_mod(getattr(L, op)(g), s, q)
+        return mat_pow_mod(getattr(L, op)(g), s, band.R)
 
     def rule(kind, a, g, x):
         if kind == "Phi":

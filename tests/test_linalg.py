@@ -19,6 +19,7 @@ from raynaud.linalg import (
     Span,
     ZMod,
     charpoly,
+    induced_matrix,
     invert_unimodular,
     kernel_gens,
     kernel_into,
@@ -488,8 +489,158 @@ def test_mat_pow_mod_matches_naive_product(case):
     R, A = case
     naive = R.eye(A.shape[0])
     for s in range(10):
-        assert np.array_equal(mat_pow_mod(A, s, R.q), naive)
+        assert np.array_equal(mat_pow_mod(A, s, R), naive)
         naive = (A @ naive) % R.q
+
+
+# ---------------------------------------------------------------------------
+# the exact product ZMod.matmul against Python-int products
+
+# rings where the float64 (2^53) or int64 (2^63) bound on k * (q - 1)^2
+# falls at a small inner dimension k
+MATMUL_RINGS = [(2, 3), (3, 15), (2, 24), (7, 10), (5, 13), (2, 30)]
+
+
+def _exact_product(A, B, q):
+    return np.asarray((A.astype(object) @ B.astype(object)) % q, dtype=np.int64)
+
+
+def _first_k_past(bound, q):
+    """The least inner dimension k with k * (q - 1)^2 >= bound."""
+    return -(-bound // (q - 1) ** 2)
+
+
+@st.composite
+def matmul_cases(draw):
+    """(R, A, B): small outer sizes with inner dimensions near R's 2^53
+    and 2^63 bounds (those below 300) or up to 60, or large ones (enough
+    multiply-adds for BLAS) with inner dimensions near 2^53 or 14 to 60;
+    entries anywhere in (-2q, 2q) or within 50 of q - 1."""
+    R = ZMod(*draw(st.sampled_from(MATMUL_RINGS)))
+    large = draw(st.booleans())
+    bounds = (2**53,) if large else (2**53, 2**63)
+    edges = [k for k in (_first_k_past(b, R.q) for b in bounds) if k < 300]
+    if edges and draw(st.booleans()):
+        k = max(0, draw(st.sampled_from(edges)) + draw(st.integers(-2, 2)))
+    else:
+        k = draw(st.integers(14 if large else 0, 60))
+    lo, hi = (70, 100) if large else (1, 12)
+    rows, cols = draw(st.integers(lo, hi)), draw(st.integers(lo - 1, hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        A = rng.integers(-2 * R.q + 1, 2 * R.q, size=(rows, k))
+        B = rng.integers(-2 * R.q + 1, 2 * R.q, size=(k, cols))
+    else:
+        A = R.q - 1 - rng.integers(0, 50, size=(rows, k))
+        B = R.q - 1 - rng.integers(0, 50, size=(k, cols))
+    if not large and draw(st.booleans()):
+        B = B[:, 0] if cols else B.sum(axis=1)  # a vector on the right
+    return R, A.astype(np.int64), B.astype(np.int64)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(matmul_cases())
+def test_matmul_matches_python_int_product(case):
+    R, A, B = case
+    got, want = R.matmul(A, B), _exact_product(A, B, R.q)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p,m", [(2, 24), (3, 15)])
+def test_matmul_on_both_sides_of_the_float64_bound(p, m):
+    # large enough for BLAS; entries near q - 1 put the sums just under
+    # and just over 2^53, where float64 would start to round
+    R = ZMod(p, m)
+    edge = _first_k_past(2**53, R.q)
+    rng = np.random.default_rng(0)
+    for k in range(edge - 2, edge + 2):
+        A = (R.q - 1 - rng.integers(0, 50, size=(90, k))).astype(np.int64)
+        B = (R.q - 1 - rng.integers(0, 50, size=(k, 90))).astype(np.int64)
+        assert R.matmul(A, B).tobytes() == _exact_product(A, B, R.q).tobytes()
+
+
+def test_matmul_vector_products_and_empty_inner_dimension():
+    R = ZMod(3, 15)
+    x = np.arange(5, dtype=np.int64) * (R.q // 7)
+    assert int(R.matmul(x, x)) == int(_exact_product(x, x, R.q))
+    assert R.matmul(R.zeros(3, 0), R.zeros(0, 4)).tobytes() == R.zeros(3, 4).tobytes()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.integers(116, 200), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_matmul_is_exact_where_int64_products_overflow(k, rows, cols, seed):
+    # q = 7^10: k * (q - 1)^2 >= 2^63 for k > 115, so a plain int64 `@`
+    # wraps on every entry of these near-(q - 1) matrices
+    R = ZMod(7, 10)
+    rng = np.random.default_rng(seed)
+    A = (R.q - 1 - rng.integers(0, 50, size=(rows, k))).astype(np.int64)
+    B = (R.q - 1 - rng.integers(0, 50, size=(k, cols))).astype(np.int64)
+    want = _exact_product(A, B, R.q)
+    assert R.matmul(A, B).tobytes() == want.tobytes()
+    assert not np.array_equal((A @ B) % R.q, want)
+
+
+def test_matmul_at_q_7_pow_10_past_the_int64_bound():
+    R = ZMod(7, 10)
+    ones = np.full((1, 116), R.q - 1, dtype=np.int64)
+    # (q - 1)^2 = 1 mod q, so the product is 116; int64 wraps to 152682840
+    assert int(((ones @ ones.T) % R.q)[0, 0]) == 152682840
+    assert R.matmul(ones, ones.T).tolist() == [[116]]
+
+
+# ---------------------------------------------------------------------------
+# one-sided transforms: each equals the full computation it replaces
+
+
+@PROPERTY
+@given(sparse_matrices(max_rows=40, square=True), st.integers(0, 2**32 - 1))
+def test_invert_unimodular_columns_equal_columns_of_the_inverse(case, seed):
+    R, A = case
+    U, _, _ = smith_normal_form(A, R)
+    rng = np.random.default_rng(seed)
+    keep = sorted(rng.choice(U.shape[0], size=rng.integers(0, U.shape[0] + 1), replace=False))
+    got, want = invert_unimodular(U, R, cols=keep), invert_unimodular(U, R)[:, keep]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _kernel_into_then_slice(A, src, dst):
+    """`kernel_into` with the whole kernel basis formed and then cut to its
+    first src.ngens rows.  Kept only as the oracle for the row-first
+    `kernel_into`."""
+    R = src.R
+    big = np.concatenate([R.reduce(A), (-dst.rels) % R.q], axis=1)
+    G = kernel_gens(big, R)[: src.ngens, :]
+    G = np.concatenate([G, src.rels], axis=1) % R.q
+    G = G[:, G.any(axis=0)]
+    return G if G.size else R.zeros(src.ngens, 0)
+
+
+@st.composite
+def maps_between_presented_modules(draw):
+    """(A, src, dst): presented modules on up to 8 generators with up to 8
+    relation columns each, and a dst.ngens x src.ngens matrix A."""
+    R = ZMod(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def matrix(rows, cols):
+        vals = R.p ** rng.integers(0, R.m + 1, size=(rows, cols))
+        return (vals * rng.integers(0, R.q, size=(rows, cols))) % R.q
+
+    a, b = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    src = Pres(R, a, matrix(a, draw(st.integers(0, 8))))
+    dst = Pres(R, b, matrix(b, draw(st.integers(0, 8))))
+    return matrix(b, a), src, dst
+
+
+@PROPERTY
+@given(maps_between_presented_modules())
+def test_kernel_into_row_first_equals_kernel_then_slice(case):
+    A, src, dst = case
+    got, want = kernel_into(A, src, dst), _kernel_into_then_slice(A, src, dst)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def _gauss_jordan_inverse(U, R):
@@ -684,3 +835,39 @@ def test_same_span_of_equal_matrices_agrees_with_factoring(case):
     assert factored
     assert _same_span(G, G + R.q, amb) == factored  # equal mod q: not factored
     assert _same_span(G, np.concatenate([G, G], axis=1), amb) == factored
+
+
+def _induced_matrix_per_column(img, dst_gens, dst):
+    """`induced_matrix` solving one column at a time through
+    `Span._diagonal_quotient`.  Kept only as the oracle for the batched
+    solve of `induced_matrix`."""
+    R = dst.R
+    img = R.reduce(img)
+    if not img.shape[1]:
+        return R.zeros(dst_gens.shape[1], 0)
+    solver = LinearSolver(np.concatenate([dst_gens, dst.rels], axis=1) % R.q, R)
+    cols = []
+    for j in range(img.shape[1]):
+        y = solver._diagonal_quotient(img[:, j])
+        if y is None:
+            return None
+        cols.append(((solver.V[:, : len(y)] @ y) % R.q)[: dst_gens.shape[1]])
+    return np.stack(cols, axis=1) % R.q
+
+
+@PROPERTY
+@given(spans_in_presented_modules(), st.integers(0, 2**32 - 1), st.booleans())
+def test_induced_matrix_batched_equals_per_column_solves(case, seed, outside):
+    amb, G = case
+    R = amb.R
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(0, 5))
+    img = G @ rng.integers(0, R.q, size=(G.shape[1], k))
+    img += amb.rels @ rng.integers(0, R.q, size=(amb.rels.shape[1], k))
+    if outside and k:  # a column that may leave the span
+        img[:, -1] = rng.integers(0, R.q, size=amb.ngens)
+    got, want = induced_matrix(img % R.q, G, amb), _induced_matrix_per_column(img, G, amb)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

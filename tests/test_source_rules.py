@@ -53,3 +53,34 @@ def test_every_module_level_definition_is_used():
             if not outside:
                 unused.append(f"{path.name}:{node.name}")
     assert not unused, f"module-level definitions nothing uses: {unused}"
+
+
+def test_linalg_and_rmod_multiply_only_through_zmod_matmul():
+    # ZMod.matmul checks the int64 bound k * (q - 1)^2 of each product; a
+    # bare `@` (or np.matmul, np.dot, ...) elsewhere in these two modules
+    # could overflow silently
+    products = {"dot", "einsum", "inner", "tensordot", "vdot"}
+    found = []
+    for name in ("linalg.py", "rmod.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        allowed = {
+            id(node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "ZMod"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "matmul"
+            for node in ast.walk(fn)
+        }
+        if name == "linalg.py":
+            assert allowed, "ZMod.matmul not found"
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in products
+                or (node.attr == "matmul" and isinstance(node.value, ast.Name) and node.value.id == "np")
+            ):
+                found.append(f"{name}:{node.lineno} {node.attr}")
+    assert not found, f"products outside ZMod.matmul: {found}"
