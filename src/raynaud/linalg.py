@@ -15,22 +15,26 @@ This module is the one builder of presentations: `Pres.direct_sum`
 presentation, so a caller never presents the same span twice.
 
 Matrices are numpy int64 arrays with entries reduced into [0, q),
-q = p^m.  `smith_normal_form` eliminates row-sparse over Python ints,
-so it is exact for every q; its cost grows with the nonzeros and their
-fill-in.  Every matrix product of this module and of `rmod` goes
-through `ZMod.matmul`, which checks the bound k * (q - 1)^2 for inner
-dimension k: below 2^53 it multiplies large products in float64
-through BLAS, below 2^63 it uses int64, and above that Python ints, so
-none of these products can overflow silently.  They are the squarings
-of `rmod.mat_pow_mod`, Fil^s (`rmod.fil_gens`), the induced operators
-of `rmod.sub_level`, the relation and transition checks, inverses,
-solves, membership tests and `charpoly`.  The `@` products in `star`,
-`homs`, `invariants` and `balphap` are still plain int64 and unchecked:
-there k * (q - 1)^2 must stay below 2^63 (at q = 7^10, k <= 115).
-`ZMod` itself still refuses q^2 >= 2^62.
+q = p^m.  `ZMod.reduce` returns an int64 argument already in range
+itself, not a copy, so callers never write into its result; `Pres` and
+`present_span` copy what they keep.  `smith_normal_form` eliminates
+row-sparse over Python ints, so it is exact for every q; its cost grows
+with the nonzeros and their fill-in.  Every matrix product of this
+module and of `rmod` goes through `ZMod.matmul`, which checks the bound
+k * (q - 1)^2 for inner dimension k: below 2^53 it multiplies large
+products in float64 through BLAS, below 2^63 it uses int64, and above
+that Python ints, so none of these products can overflow silently.
+They are the squarings of `rmod.mat_pow_mod`, Fil^s (`rmod.fil_gens`),
+the induced operators of `rmod.sub_level`, the relation and transition
+checks, inverses, solves, membership tests and `charpoly`.  The `@`
+products in `star`, `homs`, `invariants` and `balphap` are still plain
+int64 and unchecked: there k * (q - 1)^2 must stay below 2^63 (at
+q = 7^10, k <= 115).  `ZMod` itself still refuses q^2 >= 2^62.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -72,7 +76,18 @@ class ZMod:
         return pow(u, -1, self.q)
 
     def reduce(self, A) -> np.ndarray:
-        return np.asarray(A, dtype=np.int64) % self.q
+        """A as an int64 array with entries in [0, q).
+
+        An int64 array already in range is returned itself, not copied,
+        so callers never write into the result.  The range check is one
+        `max` over the array viewed as uint64, where negative entries
+        read as at least 2^63; on large arrays it is much cheaper than
+        the `%`.
+        """
+        A = np.asarray(A, dtype=np.int64)
+        if A.size and A.view(np.uint64).max() >= self.q:
+            return A % self.q
+        return A
 
     def matmul(self, A, B) -> np.ndarray:
         """The exact product A @ B mod q, reduced into [0, q).
@@ -137,7 +152,8 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
     the row operations column t is p^e e_t and every entry of row t is a
     multiple of p^e, so the column operations that clear row t change no
     other row: they act only on V.  U is kept as sparse rows and V as
-    sparse columns, each turned into an int64 array once, at return.
+    sparse columns; each is filled into its int64 array by one scatter,
+    at return.
 
     The cost grows with the nonzeros and their fill-in, not with the
     matrix size; the matrices raynaud factors are a few percent nonzero.
@@ -222,13 +238,24 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
     U = V = None
     if left:
         U = R.zeros(rows, rows)
-        for pos, i in enumerate(rord):
-            U[pos, list(Urow[i])] = list(Urow[i].values())
+        pos, idx, val = _flatten(Urow, rord)
+        U[pos, idx] = val
     if right:
         V = R.zeros(cols, cols)
-        for pos, j in enumerate(cord):
-            V[list(Vcol[j]), pos] = list(Vcol[j].values())
+        pos, idx, val = _flatten(Vcol, cord)
+        V[idx, pos] = val
     return U, V, exps
+
+
+def _flatten(vecs, order):
+    """The entries of the sparse vectors vecs[order[pos]] ({index: value}
+    dicts) as three int64 arrays (pos, index, value), for one scatter."""
+    lens = [len(vecs[i]) for i in order]
+    n = sum(lens)
+    pos = np.repeat(np.arange(len(order)), lens)
+    idx = np.fromiter(itertools.chain.from_iterable(vecs[i] for i in order), np.int64, n)
+    val = np.fromiter(itertools.chain.from_iterable(vecs[i].values() for i in order), np.int64, n)
+    return pos, idx, val
 
 
 def _sub_multiple(vec, c, items, q):
@@ -362,6 +389,8 @@ class Pres:
             keep = rels.any(axis=0)
             keep[1:] &= (rels[:, 1:] != rels[:, :-1]).any(axis=0)
             rels = rels[:, keep]
+        else:
+            rels = rels.copy()  # `reduce` may have returned the caller's array
         self.rels = rels
         self._nf = None
         self._span = None
@@ -456,7 +485,7 @@ def present_span(G, amb: Pres):
     G = R.reduce(G)
     t = G.shape[1]
     K_rels = kernel_into(G, Pres.free(R, t), amb)
-    return Pres(R, t, K_rels), G
+    return Pres(R, t, K_rels), G.copy()
 
 
 def minimal_gens(G, amb: Pres, K=None):

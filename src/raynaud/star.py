@@ -35,6 +35,7 @@ import numpy as np
 from .linalg import (
     Pres,
     ZMod,
+    _flatten,
     blockdiag,
     invert_unimodular,
     kernel_into,
@@ -190,6 +191,13 @@ class StarModel:
     with x, y coordinate vectors of M^gm and N^gn, expanded bilinearly over
     the symbols ("g", s, gm, a, gn, b) = V^s(x_a * y_b) and
     ("h", s, gm, a, gn, b) = dV^s(x_a * y_b).
+
+    `_coeffs` is the one expansion: it collects a sum of terms as a
+    {position: value} dict.  Each relation is kept in that form, and each
+    grading's relation matrix is filled by one scatter; relations that
+    vanish are dropped.  Column order does not matter, since `Pres` sorts
+    and deduplicates its columns.  `_vec` gives the same sum as a dense
+    vector, for the operator columns of `_ops`.
     """
 
     def __init__(self, Mb: BlockModule, Nb: BlockModule, m: int, S: int):
@@ -213,31 +221,44 @@ class StarModel:
 
         rel_cols = {g: [] for g in self.labels}
         for g, terms in self._relations():
-            vec = self._vec(g, *terms)
-            if vec.any():
-                rel_cols[g].append(vec)
-        pieces = {
-            g: LevelPiece(labs, Pres(R, len(labs), np.stack(c, axis=1) if c else None))
-            for (g, labs), c in zip(self.labels.items(), rel_cols.values())
-        }
+            col = self._coeffs(*terms)
+            if col:
+                rel_cols[g].append(col)
+        pieces = {}
+        for g, labs in self.labels.items():
+            cols = rel_cols[g]
+            rels = R.zeros(len(labs), len(cols))
+            c, pos, val = _flatten(cols, range(len(cols)))
+            rels[pos, c] = val
+            pieces[g] = LevelPiece(labs, Pres(R, len(labs), rels))
         self.model = Level(R, S, pieces, *self._ops(), r=1)
 
     def _add(self, key, g):
         self.index[key] = (g, len(self.labels.setdefault(g, [])))
         self.labels[g].append(key)
 
+    def _coeffs(self, *terms):
+        """A sum of terms as a {position: value} dict of its nonzero
+        coordinates; positions are those of the terms' own grading."""
+        q, index = self.R.q, self.index
+        acc = {}
+        for kind, s, gm, x, gn, y, coeff in terms:
+            ys = [(b, yv) for b, yv in enumerate(y.tolist()) if yv]
+            for a, xv in enumerate(x.tolist()):
+                if not xv:
+                    continue
+                for b, yv in ys:
+                    c = xv * yv * coeff % q
+                    if c:
+                        pos = index[(kind, s, gm, a, gn, b)][1]
+                        acc[pos] = (acc.get(pos, 0) + c) % q
+        return {pos: v for pos, v in acc.items() if v}
+
     def _vec(self, g, *terms):
         """The coordinate vector at grading g of a sum of terms."""
-        q = self.R.q
         vec = np.zeros(self.sizes.get(g, 0), dtype=np.int64)
-        for kind, s, gm, x, gn, y, coeff in terms:
-            ys = y.nonzero()[0]
-            for a in x.nonzero()[0]:
-                for b in ys:
-                    c = (int(x[a]) * int(y[b]) * coeff) % q
-                    if c:
-                        pos = self.index[(kind, s, gm, int(a), gn, int(b))][1]
-                        vec[pos] = (vec[pos] + c) % q
+        col = self._coeffs(*terms)
+        vec[list(col)] = list(col.values())
         return vec
 
     def _d_terms(self, s, gm, x, gn, y, coeff):

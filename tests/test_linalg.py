@@ -871,3 +871,48 @@ def test_induced_matrix_batched_equals_per_column_solves(case, seed, outside):
     if got is not None:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def reduce_inputs(draw):
+    """(R, A, as_list): a 1-d or 2-d int64 array, possibly empty or a
+    non-contiguous view, with entries either all in [0, q) or spread
+    over [-2q, 2q); as_list asks for it as nested Python lists."""
+    R = ZMod(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 4)))
+    shape = draw(st.sampled_from([(0,), (0, 3), (4, 0), (1,), (7,), (1, 1), (3, 5), (8, 2)]))
+    lo, hi = draw(st.sampled_from([(0, R.q - 1), (-2 * R.q, 2 * R.q)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.integers(lo, hi + 1, size=shape)
+    if A.size and lo < 0:  # make sure both kinds of out-of-range entry occur
+        A.flat[0], A.flat[-1] = -1, R.q
+    if A.ndim == 2 and draw(st.booleans()):
+        A = A.T[::-1]
+    return R, A, draw(st.booleans())
+
+
+@PROPERTY
+@given(reduce_inputs())
+def test_reduce_matches_int64_remainder(case):
+    R, A, as_list = case
+    arg = A.tolist() if as_list else A
+    got = R.reduce(arg)
+    want = np.asarray(arg, dtype=np.int64) % R.q
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert ((got >= 0) & (got < R.q)).all()
+    if not as_list and A.size and A.min() >= 0 and A.max() < R.q:
+        assert got is A  # already reduced: returned itself, not copied
+
+
+@pytest.mark.parametrize("cols", [0, 1, 2])
+def test_pres_relations_do_not_follow_the_callers_array(cols):
+    R = ZMod(3, 2)
+    X = np.array([[1, 4], [0, 2], [5, 0]], dtype=np.int64)[:, :cols]
+    pres = Pres(R, 3, X)
+    before = pres.rels.copy()
+    X[:] = 7
+    assert pres.rels.tobytes() == before.tobytes()
+    G = np.array([[1], [2], [0]], dtype=np.int64)
+    K, incl = present_span(G, Pres.free(R, 3))
+    G[:] = 8
+    assert incl.tolist() == [[1], [2], [0]]

@@ -6,10 +6,11 @@ import pytest
 
 from raynaud.blocks import make_block, truncate
 from raynaud.homs import find_isomorphism
-from raynaud.linalg import quotient_by
+from raynaud.linalg import Pres, quotient_by
 from raynaud.rmod import check_relations
 from raynaud.star import (
     ClosedFormInapplicable,
+    StarModel,
     derived_star,
     star_frobenius_bijective,
     star_presentation,
@@ -286,3 +287,61 @@ def test_derived_star_identification_explicit_at_full_level():
         cand = ShiftDepth(make_block("Domino", P, t=t).tower, res[which]["offset"])
         phi = find_isomorphism(cand, model, 2, 8)
         assert phi is not None, f"no explicit iso for {which} at (2, 8)"
+
+
+def _dense_vec(model, g, *terms):
+    """The reference expansion: a dense vector filled term by term over
+    the nonzeros of the two factor vectors."""
+    q = model.R.q
+    vec = np.zeros(model.sizes.get(g, 0), dtype=np.int64)
+    for kind, s, gm, x, gn, y, coeff in terms:
+        for a in x.nonzero()[0]:
+            for b in y.nonzero()[0]:
+                c = (int(x[a]) * int(y[b]) * coeff) % q
+                if c:
+                    pos = model.index[(kind, s, gm, int(a), gn, int(b))][1]
+                    vec[pos] = (vec[pos] + c) % q
+    return vec
+
+
+@pytest.mark.parametrize("mname, nname", [("Um1", "W"), ("U0", "k"), ("E", "k")])
+def test_star_model_matches_dense_relation_route(mname, nname, monkeypatch):
+    """`StarModel`'s relations (one scatter of {position: value} columns)
+    and operators equal those of the reference route byte for byte: a
+    dense `_dense_vec` per relation, the nonzero ones stacked."""
+    b = blocks()
+    model = StarModel(b[mname], b[nname], 3, 11)
+    cols = {g: [] for g in model.labels}
+    for g, terms in model._relations():
+        vec = _dense_vec(model, g, *terms)
+        if vec.any():
+            cols[g].append(vec)
+    monkeypatch.setattr(model, "_vec", lambda g, *terms: _dense_vec(model, g, *terms))
+    V, d, F = model._ops()
+    L = model.model
+    for g, labs in model.labels.items():
+        ref = Pres(model.R, len(labs), np.stack(cols[g], axis=1) if cols[g] else None).rels
+        got = L.piece(g).pres.rels
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), g
+        for op, want in ((L.V(g), V[g]), (L.d(g), d[g]), (L.F_lift(g), F[g])):
+            assert op.shape == want.shape and op.tobytes() == want.tobytes(), g
+
+
+def test_star_model_sums_cancel_entry_by_entry():
+    """A sum whose terms cancel in one coordinate and add up in another:
+    `_coeffs` keeps exactly the nonzero entries of the reference vector
+    (a dropped or double-counted entry differs), and a sum that cancels
+    completely is the empty dict."""
+    b = blocks()
+    model = StarModel(b["U0"], b["k"], 3, 11)
+    e0, e1, e2 = np.eye(model.LM.piece(0).ngens, dtype=np.int64)[:3]
+    y = np.eye(model.LN.piece(0).ngens, dtype=np.int64)[0]
+    # (e0 + e1) * y - e1 * y + 3 (e2 * y) = e0 * y + 3 (e2 * y)
+    terms = [("g", 1, 0, e0 + e1, 0, y, 1), ("g", 1, 0, e1, 0, y, -1), ("g", 1, 0, e2, 0, y, 3)]
+    ref = _dense_vec(model, 0, *terms)
+    col = model._coeffs(*terms)
+    assert sorted(col.values()) == [1, 3]
+    assert col == {int(i): int(ref[i]) for i in ref.nonzero()[0]}
+    assert model._vec(0, *terms).tobytes() == ref.tobytes()
+    cancel = [("g", 1, 0, e0 + e1, 0, y, 1), ("g", 1, 0, e0 + e1, 0, y, model.R.q - 1)]
+    assert model._coeffs(*cancel) == {} and not _dense_vec(model, 0, *cancel).any()
