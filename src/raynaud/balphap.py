@@ -188,7 +188,7 @@ def _check_cell_ops_vanish(E, Ktop, Kbot, m, n):
     src = Pres.direct_sum(R, [L.piece(0).pres] * 2)
     sp = Span(np.concatenate([Kbot, src.rels, R.p * R.eye(src.ngens)], axis=1) % R.q, R)
     for name, mat in (("F", L.F_lift(0)), ("V", L.V(0))):
-        img = (blockdiag(R, [mat, mat]) @ Ktop) % R.q
+        img = R.matmul(blockdiag(R, [mat, mat]), Ktop)
         for c in range(img.shape[1]):
             if not sp.contains(img[:, c]):
                 raise Unstable(f"operator {name} does not vanish on E2^{{1,1}}")

@@ -14,9 +14,10 @@ Subcommands:
   checker suite.
 
 Exit codes: 0 success; 1 invariant violation, failed check, or an
-inapplicable closed form; 2 parse error or an out-of-range prime,
-precision or V-depth; 3 non-stabilization.  JSON output has sorted
-keys, so identical inputs give identical bytes.
+inapplicable closed form; 2 parse error, an out-of-range prime,
+precision or V-depth, or a working precision past `ZMod`'s int64
+limit ((p^m)^2 < 2^62; 11 at p = 7); 3 non-stabilization.  JSON
+output has sorted keys, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .invariants import (
     newton_hodge_polygon,
     symmetry_check,
 )
+from .linalg import PrecisionOutOfRange
 from .rmod import Unstable, check_relations
 from .star import ClosedFormInapplicable, derived_star, star_frobenius_bijective, star_presentation
 
@@ -273,7 +275,7 @@ def main(argv=None) -> int:
             return cmd_report(args)
         if args.command == "check":
             return cmd_check(args)
-    except SpecError as exc:
+    except (SpecError, PrecisionOutOfRange) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Unstable as exc:

@@ -21,20 +21,20 @@ from .rmod import Level, Tower, Unstable, stable_pushdown
 class ShiftDepth(Tower):
     """The same tower read at depth n + offset (for level-offset matching)."""
 
-    def __init__(self, inner: Tower, offset: int):
-        super().__init__(inner.p, inner.r)
-        self.inner = inner
+    def __init__(self, base: Tower, offset: int):
+        super().__init__(base.p, base.r)
+        self.base = base
         self.offset = offset
 
     def gradings(self):
-        return self.inner.gradings()
+        return self.base.gradings()
 
     def _build(self, m, n):
-        return self.inner.level(m, n + self.offset)
+        return self.base.level(m, n + self.offset)
 
     def proj(self, i, hi, lo):
         (mh, nh), (ml, nl) = hi, lo
-        return self.inner.proj(i, (mh, nh + self.offset), (ml, nl + self.offset))
+        return self.base.proj(i, (mh, nh + self.offset), (ml, nl + self.offset))
 
 
 class HomResult:
@@ -70,11 +70,10 @@ def _phi_ambient(src: Tower, dst: Tower, m, n) -> Pres:
 def _step_maps(tower: Tower, i, hi, lo):
     """(F, proj) from chain level hi down to chain level lo (one step)."""
     (mh, nh), (ml, nl) = hi, lo
-    q = tower.p**ml
     F1 = tower.F_true(i, mh, nh)  # -> (mh, nh - 1)
     PF = tower.proj(i, (mh, nh - 1), (ml, nl))
     P = tower.proj(i, (mh, nh), (ml, nl))
-    return (PF @ F1) % q, P
+    return ZMod(tower.p, ml).matmul(PF, F1), P
 
 
 def _chain_solutions(src: Tower, dst: Tower, m, n, length):
@@ -118,7 +117,7 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length):
         ncopies = width // target.ngens
         # P acts on each of the ncopies row blocks of E
         blocks = E.reshape(ncopies, target.ngens, total)
-        E = ((P % RB.q) @ blocks).reshape(width, total) % RB.q
+        E = RB.matmul(P, blocks).reshape(width, total)
         scale = np.tile([p ** (Mbig - min(e, mc)) for e in exps], ncopies)
         E = (E * scale[:, None]) % RB.q
         keep = E.any(axis=1)
@@ -277,9 +276,9 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
     if not G.any():
         return None
     rng = np.random.default_rng(0)
-    qb = src.p ** max(mc for mc, _ in levels)
+    RB = ZMod(src.p, max(mc for mc, _ in levels))
     ncand = G.shape[1]
-    vectors = [(G @ rng.integers(0, qb, size=ncand)) % qb for _ in range(40)]
+    vectors = [RB.matmul(G, rng.integers(0, RB.q, size=ncand)) for _ in range(40)]
     vectors += [G[:, c] for c in range(ncand)]
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
     for vec in vectors:
@@ -349,16 +348,16 @@ class QuotientTower(Tower):
     of any tower hom), so the inherited operator matrices descend.
     """
 
-    def __init__(self, inner: Tower, extra):
-        super().__init__(inner.p, inner.r)
-        self.inner = inner
+    def __init__(self, base: Tower, extra):
+        super().__init__(base.p, base.r)
+        self.base = base
         self.extra = extra
 
     def gradings(self):
-        return self.inner.gradings()
+        return self.base.gradings()
 
     def _build(self, m, n):
-        L = self.inner.level(m, n)
+        L = self.base.level(m, n)
         pieces = {}
         for i, pc in L.pieces.items():
             add = self.extra(m, n).get(i)
@@ -370,7 +369,7 @@ class QuotientTower(Tower):
         return Level(L.R, n, pieces, dict(L.opV), dict(L.opd), dict(L.opF), r=L.r)
 
     def proj(self, i, hi, lo):
-        return self.inner.proj(i, hi, lo)
+        return self.base.proj(i, hi, lo)
 
 
 def canonical_map_k_to_domino(p, lam, m, n):

@@ -90,17 +90,15 @@ def _v_infty_z(tower: Tower, i, m, n):
     R = L.R
     piece = L.piece(i)
     G = R.eye(piece.ngens)
-    dmat = L.d(i)
     tgt = L.piece(i + 1).pres
-    Vs = R.eye(piece.ngens)
-    for s in range(n + 1):
-        A = (dmat @ Vs @ G) % R.q
-        ker = kernel_into(A, Pres(R, G.shape[1]), tgt)
-        G = (G @ ker) % R.q
+    dVs = L.d(i)  # d V^s
+    for _ in range(n + 1):
+        ker = kernel_into(R.matmul(dVs, G), Pres(R, G.shape[1]), tgt)
+        G = R.matmul(G, ker)
         G = G[:, G.any(axis=0)] if G.size else G
-        Vs = (Vs @ L.V(i)) % R.q
         if not G.size:
             break
+        dVs = R.matmul(dVs, L.V(i))
     return G if G.size else R.zeros(piece.ngens, 0)
 
 
@@ -126,7 +124,7 @@ def _f_infty_b(tower: Tower, i, m, n):
         B = Lsrc.d(i - 1)
         if B.shape[1]:
             Fs = compose_F(tower, i, m, n + s, s)
-            cols.append((Fs @ B) % R.q)
+            cols.append(R.matmul(Fs, B))
         G = np.concatenate(cols, axis=1) % R.q if cols else R.zeros(piece.ngens, 0)
         G = G[:, G.any(axis=0)] if G.size else G
         sub, _ = present_span(G, piece.pres)
@@ -156,8 +154,8 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         # induced Frobenius on the heart generators, one level down
         lo = tower.level(m, n - 1)
         Pd = tower.proj(i, (m, n), (m, n - 1))
-        Fimg = (tower.F_true(i, m, n) @ Zgens) % lo.R.q
-        lo_gens = (Pd @ Zgens) % lo.R.q
+        Fimg = lo.R.matmul(tower.F_true(i, m, n), Zgens)
+        lo_gens = lo.R.matmul(Pd, Zgens)
         B_lo = _f_infty_b(tower, i, m, n - 1)
         lo_quot = quotient_by(lo.piece(i).pres, B_lo)
         Fmat = induced_matrix(Fimg, lo_gens, lo_quot)
@@ -270,7 +268,7 @@ def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         if Fmat is None:
             raise Unstable("heart Frobenius not expressible on the chosen generators")
         R = ZMod(block.p, m)
-        F_y = (P @ (Fmat % R.q) @ invert_unimodular(P, R)) % R.q
+        F_y = R.matmul(R.matmul(P, Fmat), invert_unimodular(P, R))
         A = F_y[np.ix_(free, free)]
         cp = charpoly(A, R)
         lam = newton_slopes_from_charpoly(cp, R)
@@ -328,7 +326,7 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
         # from level (mm, nn + N) into (mm, nn)
         Lhi = tower.level(mm, nn + N)
         FN_same = compose_F(tower, g - 1, mm, nn + N, N)
-        FNd = (compose_F(tower, g, mm, nn + N, N) @ Lhi.d(g - 1)) % (tower.p**mm)
+        FNd = ZMod(tower.p, mm).matmul(compose_F(tower, g, mm, nn + N, N), Lhi.d(g - 1))
         return np.concatenate([FN_same, -FNd], axis=0) % (tower.p**mm)
 
     out = {}
@@ -369,7 +367,7 @@ def block_hodge_table(block: BlockModule, cfg=DEFAULT_CONFIG):
         table = {}
         for (g, deg), exps in tc.entries.items():
             if any(e > 1 for e in exps):
-                raise AssertionError("R_1 cohomology must be killed by p")
+                raise Unstable("R_1 cohomology must be killed by p")
             if exps:
                 table[(g, deg)] = len(exps) // block.r
         return table

@@ -19,17 +19,12 @@ q = p^m.  `ZMod.reduce` returns an int64 argument already in range
 itself, not a copy, so callers never write into its result; `Pres` and
 `present_span` copy what they keep.  `smith_normal_form` eliminates
 row-sparse over Python ints, so it is exact for every q; its cost grows
-with the nonzeros and their fill-in.  Every matrix product of this
-module and of `rmod` goes through `ZMod.matmul`, which checks the bound
+with the nonzeros and their fill-in.  Every matrix product of the
+package goes through `ZMod.matmul`, which checks the bound
 k * (q - 1)^2 for inner dimension k: below 2^53 it multiplies large
 products in float64 through BLAS, below 2^63 it uses int64, and above
-that Python ints, so none of these products can overflow silently.
-They are the squarings of `rmod.mat_pow_mod`, Fil^s (`rmod.fil_gens`),
-the induced operators of `rmod.sub_level`, the relation and transition
-checks, inverses, solves, membership tests and `charpoly`.  The `@`
-products in `star`, `homs`, `invariants` and `balphap` are still plain
-int64 and unchecked: there k * (q - 1)^2 must stay below 2^63 (at
-q = 7^10, k <= 115).  `ZMod` itself still refuses q^2 >= 2^62.
+that Python ints, so no product can overflow silently.  The one limit
+left is elementwise: `ZMod` raises `PrecisionOutOfRange` on q^2 >= 2^62.
 """
 
 from __future__ import annotations
@@ -44,6 +39,10 @@ _INT64_EXACT = 2**63
 _BLAS_MIN_WORK = 2**16  # multiply-adds of the smallest product sent to BLAS
 
 
+class PrecisionOutOfRange(ValueError):
+    """A precision m with (p^m)^2 >= 2^62, which `ZMod` refuses."""
+
+
 class ZMod:
     """The coefficient ring Z/p^m, p prime, with p-adic valuations."""
 
@@ -56,7 +55,8 @@ class ZMod:
         self.m = m
         self.q = p**m
         if self.q * self.q >= _INT64_SAFE:
-            raise ValueError(f"p^m = {self.q} too large for exact int64 arithmetic")
+            top = next(k for k in itertools.count() if p ** (2 * k + 2) >= _INT64_SAFE)
+            raise PrecisionOutOfRange(f"precision {m} at p = {p} exceeds {top}, the int64 limit")
 
     def val(self, x: int) -> int:
         """p-adic valuation of x mod p^m; the valuation of 0 is m."""
@@ -92,20 +92,21 @@ class ZMod:
     def matmul(self, A, B) -> np.ndarray:
         """The exact product A @ B mod q, reduced into [0, q).
 
-        Both factors are reduced first, so a product with inner
-        dimension k sums k terms of at most (q - 1)^2.  While that sum
-        stays below 2^53 every partial sum is an integer float64 holds
-        exactly, whatever order BLAS adds in, so the product runs in
-        float64 (numpy has no BLAS for int64); below 2^63 it runs in
-        int64, and above that over Python ints.  Products of fewer than
-        _BLAS_MIN_WORK multiply-adds stay in int64 even below 2^53: there
-        the float64 round trip saves at most tens of microseconds, and a
-        process's first BLAS call costs about half a MiB of resident
-        memory.
+        B may be a vector, a matrix or a stack of matrices.  Both
+        factors are reduced first, so a product with inner dimension k
+        sums k terms of at most (q - 1)^2.  While that sum stays below
+        2^53 every partial sum is an integer float64 holds exactly,
+        whatever order BLAS adds in, so the product runs in float64
+        (numpy has no BLAS for int64); below 2^63 it runs in int64, and
+        above that over Python ints.  Products of fewer than
+        _BLAS_MIN_WORK multiply-adds (a stack counts every matrix) stay
+        in int64 even below 2^53: there the float64 round trip saves at
+        most tens of microseconds, and a process's first BLAS call costs
+        about half a MiB of resident memory.
         """
         A, B = self.reduce(A), self.reduce(B)
         bound = A.shape[-1] * (self.q - 1) ** 2
-        work = A.size * (B.shape[1] if B.ndim == 2 else 1)
+        work = A.size * B.size // max(A.shape[-1], 1)  # multiply-adds
         if bound < _FLOAT64_EXACT and work >= _BLAS_MIN_WORK:
             C = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
         elif bound < _INT64_EXACT:

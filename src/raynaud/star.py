@@ -266,10 +266,9 @@ class StarModel:
         the Leibniz expansion of d(x * y) in plain symbols."""
         if s >= 1:
             return [("h", s, gm, x, gn, y, coeff)]
-        q = self.R.q
         return [
-            ("g", 0, gm + 1, self.LM.d(gm) @ x % q, gn, y, coeff),
-            ("g", 0, gm, x, gn + 1, self.LN.d(gn) @ y % q, coeff * (-1) ** gm),
+            ("g", 0, gm + 1, self.R.matmul(self.LM.d(gm), x), gn, y, coeff),
+            ("g", 0, gm, x, gn + 1, self.R.matmul(self.LN.d(gn), y), coeff * (-1) ** gm),
         ]
 
     def _relations(self):
@@ -435,16 +434,16 @@ class BandModel:
 
     def ops(self):
         """V, d and the F-lift (valid after projection one V-level down)."""
-        L, p, q = self.L, self.Mb.p, self.R.q
+        L, p, mul = self.L, self.Mb.p, self.R.matmul
 
         def V(kind, a, g, x):
             if kind in ("V", "dV"):
                 return _terms(kind, a + 1, g, x, 1 if kind == "V" else p)
             if a:
-                return _terms(kind, a - 1, g, L.V(g) @ x % q)
+                return _terms(kind, a - 1, g, mul(L.V(g), x))
             if kind == "Phi":
                 return _terms("V", 1, g, x)
-            return _terms("dV", 1, g, x, p) + _terms("V", 1, g + 1, L.d(g) @ x % q, -1)
+            return _terms("dV", 1, g, x, p) + _terms("V", 1, g + 1, mul(L.d(g), x), -1)
 
         def d(kind, a, g, x):
             if kind == "V":
@@ -452,17 +451,17 @@ class BandModel:
             if kind == "Phi":
                 return _d_of_phi(self, a, g, x)
             if kind == "Phid":
-                return _terms("Phid", a, g + 1, L.d(g) @ x % q, -1)
+                return _terms("Phid", a, g + 1, mul(L.d(g), x), -1)
             return []
 
         def F(kind, a, g, x):
             if kind in ("Phi", "Phid"):
-                return _terms(kind, a + 1, g, L.F_lift(g) @ x % q)
+                return _terms(kind, a + 1, g, mul(L.F_lift(g), x))
             if kind == "V":
                 return _terms("Phi", 0, g, x, p) if a == 1 else _terms("V", a - 1, g, x, p)
             if a > 1:
                 return _terms("dV", a - 1, g, x)
-            return _terms("Phid", 0, g, x) + _terms("Phi", 0, g + 1, L.d(g) @ x % q)
+            return _terms("Phid", 0, g, x) + _terms("Phi", 0, g + 1, mul(L.d(g), x))
 
         return self.matrices(V), self.matrices(d, shift=1), self.matrices(F)
 
@@ -480,7 +479,7 @@ class BandModel:
 
 def _d_of_phi(band: BandModel, t, g, x):
     """d(F^t * x) = p^t F^t d * x + F^t * dx."""
-    dx = band.L.d(g) @ x % band.R.q
+    dx = band.R.matmul(band.L.d(g), x)
     return _terms("Phid", t, g, x, band.Mb.p**t) + _terms("Phi", t, g + 1, dx)
 
 
@@ -490,7 +489,7 @@ def band_alpha(E_params, band: BandModel):
     Returns per-grading matrices from this band model into a band model
     with f_depth + i (the F-index can rise by i)."""
     i, j = E_params
-    p, q, L = band.Mb.p, band.R.q, band.L
+    p, L, mul = band.Mb.p, band.L, band.R.matmul
     dst = BandModel(band.Mb, band.m, band.n_v, band.f_depth + i)
 
     @functools.cache
@@ -502,7 +501,7 @@ def band_alpha(E_params, band: BandModel):
             if a >= j:
                 terms = _terms("Phi", a - j, g, x, -(p**j))
             else:
-                terms = _terms("V", j - a, g, power("F_lift", g, j - a) @ x % q, -(p**a))
+                terms = _terms("V", j - a, g, mul(power("F_lift", g, j - a), x), -(p**a))
             return _terms("Phi", a + i, g, x) + terms
         if kind == "Phid":
             # F^t d (F^i - V^j) = p^i F^(t+i) d - (F^(t-j) d | d V^(j-t))
@@ -511,18 +510,18 @@ def band_alpha(E_params, band: BandModel):
             else:
                 # (dV^s) * x = dV^s(1 * F^s x) - V^s(1 * F^s d x)
                 s = j - a
-                terms = _terms("dV", s, g, power("F_lift", g, s) @ x % q, -1)
-                terms += _terms("V", s, g + 1, power("F_lift", g + 1, s) @ L.d(g) @ x % q)
+                terms = _terms("dV", s, g, mul(power("F_lift", g, s), x), -1)
+                terms += _terms("V", s, g + 1, mul(power("F_lift", g + 1, s), mul(L.d(g), x)))
             return _terms("Phid", a + i, g, x, p**i) + terms
         # V^a and dV^a; alpha(dV^a(1*x)) = d(alpha(V^a(1*x))), the V-case pushed through d
-        Vx = power("V", g, min(a, i)) @ x % q
+        Vx = mul(power("V", g, min(a, i)), x)
         if a > i:
             terms = _terms(kind, a - i, g, Vx)
         elif kind == "V":
             terms = _terms("Phi", i - a, g, Vx)
         else:
             terms = _d_of_phi(band, i - a, g, Vx)
-        return terms + _terms(kind, a + j, g, power("F_lift", g, j) @ x % q, -1)
+        return terms + _terms(kind, a + j, g, mul(power("F_lift", g, j), x), -1)
 
     return dst, band.matrices(rule, dst)
 
@@ -644,7 +643,7 @@ def _bands_agree(k1, src1, k2, src2):
     for g in set(k1) | set(k2):
         if g not in k1 or g not in k2:
             return False
-        K1_in_2 = (_band_select(src1, src2, g) @ k1[g]) % src2.R.q
+        K1_in_2 = src2.R.matmul(_band_select(src1, src2, g), k1[g])
         if not _same_span(K1_in_2, k2[g], src2.level.piece(g).pres):
             return False
     return True

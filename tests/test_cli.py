@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from raynaud.cli import main
@@ -12,6 +13,8 @@ U0_SPEC = '{"p": 2, "r": 1, "object": [{"block": {"kind": "Domino", "t": 0}, "sh
 E12_SPEC = '{"p": 2, "r": 1, "object": [{"block": {"kind": "Dieudonne", "i": 1, "j": 1}, "shift": [0, 0]}]}'
 DAP_SPEC = '{"p": 2, "r": 1, "object": [{"block": {"kind": "DAlphaP"}, "shift": [0, 0]}]}'
 W_SPEC = '{"p": 2, "r": 1, "object": [{"block": {"kind": "UnitW"}, "shift": [0, 0]}]}'
+E23_P7_SPEC = '{"p": 7, "r": 1, "object": [{"block": {"kind": "Dieudonne", "i": 1, "j": 2}, "shift": [0, 0]}]}'
+DAP_P7_SPEC = '{"p": 7, "r": 1, "object": [{"block": {"kind": "DAlphaP"}, "shift": [0, 0]}]}'
 P4_SPEC = json.dumps(
     {
         "p": 2,
@@ -32,6 +35,8 @@ def specs(tmp_path):
         ("dap", DAP_SPEC),
         ("w", W_SPEC),
         ("p4", P4_SPEC),
+        ("e23_7", E23_P7_SPEC),
+        ("dap_7", DAP_P7_SPEC),
     ]:
         f = tmp_path / f"{name}.json"
         f.write_text(text)
@@ -68,6 +73,43 @@ def test_invariants_malformed_spec_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, out, err = run_cli(["invariants", str(missing)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name,precision", [("e23_7", "8"), ("dap_7", "9")])
+def test_invariants_past_the_int64_precision_exit_2(name, precision, specs, capsys):
+    # stabilizing these needs precision 12 at p = 7, and (7^12)^2 >= 2^62
+    code, out, err = run_cli(
+        ["invariants", specs[name], "--precision", precision, "--vdepth", "8"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["spec error: precision 12 at p = 7 exceeds 11, the int64 limit"]
+
+
+def test_invariants_at_p_7_multiply_past_the_int64_bound_exactly(specs, capsys, monkeypatch):
+    from raynaud import invariants
+    from raynaud.linalg import ZMod
+
+    # at precision 7 some products have k * (q - 1)^2 >= 2^63 and run
+    # over Python ints; the table is the one at precision 4
+    past = []
+    matmul = ZMod.matmul
+
+    def spy(R, A, B):
+        past.append(np.shape(A)[-1] * (R.q - 1) ** 2 >= 2**63)
+        return matmul(R, A, B)
+
+    runs = {}
+    for m in ("4", "7"):
+        monkeypatch.setattr(ZMod, "matmul", spy)
+        monkeypatch.setattr(invariants, "_BLOCK_CACHE", {})
+        code, out, err = run_cli(["invariants", specs["e23_7"], "--precision", m], capsys)
+        assert code == 0
+        runs[m] = json.loads(out)
+        assert runs[m].pop("truncation") == {"m": int(m), "n": 8}
+        assert any(past) == (m == "7")
+        past.clear()
+    assert runs["7"] == runs["4"]
 
 
 def test_invariants_param_mismatch(specs, capsys):

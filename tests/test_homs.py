@@ -121,7 +121,7 @@ def test_find_isomorphism_exhausted_search_is_not_a_no(monkeypatch):
 def test_identify_block_passes_over_an_exhausted_candidate(monkeypatch):
     u0 = make_block("Domino", 2, t=0).tower
     first = ShiftDepth(u0, 0)  # the same tower under another name
-    _count_isomorphism_tests(monkeypatch, reject=lambda src: src.inner is first)
+    _count_isomorphism_tests(monkeypatch, reject=lambda src: src.base is first)
     got = identify_block(u0, [("first", first), ("U_0", u0)], 2, 5)
     assert got is not None and got[:2] == ("U_0", 0)
     with pytest.raises(SearchExhausted):

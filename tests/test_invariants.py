@@ -170,6 +170,20 @@ def test_newton_slopes_from_charpoly_refuses_uncertified_determinant():
         newton_slopes_from_charpoly([1, 0, 8], ZMod(2, 3))
 
 
+def test_block_hodge_table_raises_unstable_when_p_does_not_kill_r1_cohomology(monkeypatch):
+    from raynaud import invariants
+
+    # an exponent-2 class in R_1 cohomology is not killed by p
+    monkeypatch.setattr(invariants, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(
+        invariants,
+        "rn_tensor_block",
+        lambda block, N, cfg: invariants.TruncatedComplex(N, {(0, 0): [1, 2]}),
+    )
+    with pytest.raises(Unstable, match="killed by p"):
+        invariants.block_hodge_table(make_block("UnitW", 2), CFG)
+
+
 def test_rn_tensor_of_unit_is_wn():
     for N in (1, 2, 3, 4):
         tc = rn_tensor_block(make_block("UnitW", 2), N, CFG)

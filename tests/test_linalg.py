@@ -515,7 +515,9 @@ def matmul_cases(draw):
     """(R, A, B): small outer sizes with inner dimensions near R's 2^53
     and 2^63 bounds (those below 300) or up to 60, or large ones (enough
     multiply-adds for BLAS) with inner dimensions near 2^53 or 14 to 60;
-    entries anywhere in (-2q, 2q) or within 50 of q - 1."""
+    entries anywhere in (-2q, 2q) or within 50 of q - 1.  B is a matrix,
+    a vector, or a stack of up to three matrices (`homs.add_equation`
+    passes one)."""
     R = ZMod(*draw(st.sampled_from(MATMUL_RINGS)))
     large = draw(st.booleans())
     bounds = (2**53,) if large else (2**53, 2**63)
@@ -526,14 +528,15 @@ def matmul_cases(draw):
         k = draw(st.integers(14 if large else 0, 60))
     lo, hi = (70, 100) if large else (1, 12)
     rows, cols = draw(st.integers(lo, hi)), draw(st.integers(lo - 1, hi))
+    stack = (draw(st.integers(1, 3)),) if draw(st.booleans()) else ()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         A = rng.integers(-2 * R.q + 1, 2 * R.q, size=(rows, k))
-        B = rng.integers(-2 * R.q + 1, 2 * R.q, size=(k, cols))
+        B = rng.integers(-2 * R.q + 1, 2 * R.q, size=stack + (k, cols))
     else:
         A = R.q - 1 - rng.integers(0, 50, size=(rows, k))
-        B = R.q - 1 - rng.integers(0, 50, size=(k, cols))
-    if not large and draw(st.booleans()):
+        B = R.q - 1 - rng.integers(0, 50, size=stack + (k, cols))
+    if not large and not stack and draw(st.booleans()):
         B = B[:, 0] if cols else B.sum(axis=1)  # a vector on the right
     return R, A.astype(np.int64), B.astype(np.int64)
 
@@ -558,6 +561,31 @@ def test_matmul_on_both_sides_of_the_float64_bound(p, m):
         A = (R.q - 1 - rng.integers(0, 50, size=(90, k))).astype(np.int64)
         B = (R.q - 1 - rng.integers(0, 50, size=(k, 90))).astype(np.int64)
         assert R.matmul(A, B).tobytes() == _exact_product(A, B, R.q).tobytes()
+
+
+@pytest.mark.parametrize("copies,blas", [(7, False), (8, True)])
+def test_matmul_work_counts_every_matrix_of_a_stack(copies, blas, monkeypatch):
+    # each 8x8 @ 8x128 product is 8192 multiply-adds; a stack of 8 is
+    # 65536, the least sent to float64 BLAS
+    import types
+
+    from raynaud import linalg
+
+    seen = []
+
+    class Spy(types.ModuleType):
+        def __getattr__(self, name):
+            if name == "float64":
+                seen.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(linalg, "np", Spy("numpy"))
+    R = ZMod(2, 3)
+    A = np.ones((8, 8), dtype=np.int64)
+    B = np.ones((copies, 8, 128), dtype=np.int64)
+    assert linalg._BLAS_MIN_WORK == 8 * 8 * 128 * 8
+    assert R.matmul(A, B).tobytes() == _exact_product(A, B, R.q).tobytes()
+    assert bool(seen) == blas
 
 
 def test_matmul_vector_products_and_empty_inner_dimension():

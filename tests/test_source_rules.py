@@ -55,14 +55,16 @@ def test_every_module_level_definition_is_used():
     assert not unused, f"module-level definitions nothing uses: {unused}"
 
 
-def test_linalg_and_rmod_multiply_only_through_zmod_matmul():
+def test_the_package_multiplies_only_through_zmod_matmul():
     # ZMod.matmul checks the int64 bound k * (q - 1)^2 of each product; a
-    # bare `@` (or np.matmul, np.dot, ...) elsewhere in these two modules
+    # bare `@` (or np.matmul, np.dot, ...) anywhere else in the package
     # could overflow silently
     products = {"dot", "einsum", "inner", "tensordot", "vdot"}
+    files = sorted(SRC.glob("*.py"))
+    assert files
     found = []
-    for name in ("linalg.py", "rmod.py"):
-        tree = ast.parse((SRC / name).read_text(), filename=name)
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
         allowed = {
             id(node)
             for cls in tree.body
@@ -71,16 +73,16 @@ def test_linalg_and_rmod_multiply_only_through_zmod_matmul():
             if isinstance(fn, ast.FunctionDef) and fn.name == "matmul"
             for node in ast.walk(fn)
         }
-        if name == "linalg.py":
+        if path.name == "linalg.py":
             assert allowed, "ZMod.matmul not found"
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                found.append(f"{name}:{node.lineno} @")
+                found.append(f"{path.name}:{node.lineno} @")
             elif isinstance(node, ast.Attribute) and (
                 node.attr in products
                 or (node.attr == "matmul" and isinstance(node.value, ast.Name) and node.value.id == "np")
             ):
-                found.append(f"{name}:{node.lineno} {node.attr}")
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
     assert not found, f"products outside ZMod.matmul: {found}"
