@@ -115,9 +115,10 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length):
             E[:, off : off + C.shape[1]] = (E[:, off : off + C.shape[1]] + C) % RB.q
         exps, P = target.normal_form()
         ncopies = width // target.ngens
-        # P acts on each of the ncopies row blocks of E
-        blocks = E.reshape(ncopies, target.ngens, total)
-        E = RB.matmul(P, blocks).reshape(width, total)
+        # P acts on each of the ncopies row blocks of E; zero columns stay zero
+        live = E.any(axis=0)
+        blocks = E[:, live].reshape(ncopies, target.ngens, -1)
+        E[:, live] = RB.matmul(P, blocks).reshape(width, -1)
         scale = np.tile([p ** (Mbig - min(e, mc)) for e in exps], ncopies)
         E = (E * scale[:, None]) % RB.q
         keep = E.any(axis=1)

@@ -11,8 +11,10 @@ transforms.
 
 This module is the one builder of presentations: `Pres.direct_sum`
 (over `blockdiag`) is the only direct sum of presented modules, and
-`minimal_gens` returns a span's minimal generators together with their
-presentation, so a caller never presents the same span twice.
+`normal_basis` reads a module's minimal generators, the coordinates of
+every element on them and their presentation off the module's own
+normal form; `minimal_gens` applies it to a span's presentation, so a
+caller never presents the same span twice.
 
 Matrices are numpy int64 arrays with entries reduced into [0, q),
 q = p^m.  `ZMod.reduce` returns an int64 argument already in range
@@ -489,18 +491,36 @@ def present_span(G, amb: Pres):
     return Pres(R, t, K_rels), G.copy()
 
 
+def normal_basis(pres: Pres):
+    """The generators of pres read off its own normal form.
+
+    With exps, U = pres.normal_form() and keep the t with exps[t] > 0,
+    returns (gens, coords, sub): gens = the keep columns of U^-1, one
+    generator per nonzero cyclic factor, in pres's coordinates; coords =
+    U[keep], so x = gens @ (coords @ x) modulo pres's relations for every
+    x, with no solve; and sub, the module presented on gens, where the
+    kept generator with annihilator exponent e has the single relation
+    p^e.  The kept exponents are ascending, so sub is its own normal
+    form (identity transform); it is stored, and no SNF is run for it.
+    """
+    R = pres.R
+    exps, U = pres.normal_form()
+    keep = [t for t, e in enumerate(exps) if e > 0]
+    pe = np.array([R.p ** exps[t] for t in keep], dtype=np.int64) % R.q
+    sub = Pres(R, len(keep), np.diag(pe)[:, pe != 0])
+    sub._nf = ([exps[t] for t in keep], R.eye(len(keep)))
+    return invert_unimodular(U, R, cols=keep), U[keep], sub
+
+
 def minimal_gens(G, amb: Pres, K=None):
     """A minimal generating set of span(G) inside amb, with its presentation.
 
-    Writes the span's presentation in normal form and keeps one
-    generator per nonzero cyclic factor.  Returns (gens, pres): gens in
-    amb's coordinates, and pres on them, where the kept generator with
+    Presents the span on G's columns and keeps the generators of that
+    presentation's `normal_basis`.  Returns (gens, pres): gens in amb's
+    coordinates, and pres on them, where the kept generator with
     annihilator exponent e has the single relation p^e.  K, when given,
     is `present_span(G, amb)[0]` (as `stable_pushdown` returns it) and
     is not computed again.
-
-    The kept exponents are ascending, so pres is its own normal form
-    (identity transform); it is stored, and no SNF is run for it.
     """
     R = amb.R
     G = R.reduce(G)
@@ -508,12 +528,8 @@ def minimal_gens(G, amb: Pres, K=None):
         return G, Pres(R, 0)
     if K is None:
         K, _ = present_span(G, amb)
-    exps, P = K.normal_form()
-    keep = [t for t, e in enumerate(exps) if e > 0]
-    pe = np.array([R.p ** exps[t] for t in keep], dtype=np.int64) % R.q
-    pres = Pres(R, len(keep), np.diag(pe)[:, pe != 0])
-    pres._nf = ([exps[t] for t in keep], R.eye(len(keep)))
-    return R.matmul(G, invert_unimodular(P, R, cols=keep)), pres
+    gens, _, pres = normal_basis(K)
+    return R.matmul(G, gens), pres
 
 
 def quotient_by(amb: Pres, extra) -> Pres:

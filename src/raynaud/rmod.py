@@ -24,8 +24,9 @@ v_N map of the Hodge complex all take (dV^s | V^s) from it.
 
 `SumTower` is the one direct-sum tower: one summand with a shift is a
 grading-shifted tower, and no summand at all is the zero tower.
-Sub-objects (`sub_level`) take their generators and presentations from
-`linalg.minimal_gens`.
+A level is condensed (`condense_level`) onto the generators of each
+grading's own normal form, `linalg.normal_basis`; sub-objects
+(`sub_level`) take theirs from `linalg.minimal_gens`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .linalg import (
     blockdiag,
     induced_matrix,
     kernel_into,
-    minimal_gens,
+    normal_basis,
     present_span,
     quotient_by,
 )
@@ -335,11 +336,23 @@ def sub_level(amb: Level, subs) -> Level:
 def condense_level(level: Level) -> Level:
     """Re-present a level on a minimal generating set per grading.
 
-    The result is isomorphic to the input with far fewer coordinates;
-    filtration quotients commute with the re-presentation.
+    Each grading keeps the generators of its own presentation's
+    `normal_basis`, whose coordinate matrix expresses every element on
+    them, so each operator is induced as coords_dst @ op @ gens_src and
+    nothing is solved.  The result is isomorphic to the input with far
+    fewer coordinates; filtration quotients commute with the
+    re-presentation.
     """
-    pieces = [(g, level.piece(g)) for g in level.gradings()]
-    return sub_level(level, {g: minimal_gens(level.R.eye(pc.ngens), pc.pres) for g, pc in pieces})
+    R = level.R
+    basis = {g: normal_basis(level.piece(g).pres) for g in level.gradings()}
+    pieces, V, d, F = {}, {}, {}, {}
+    for g, (gens, coords, sub) in basis.items():
+        pieces[g] = LevelPiece([("m", g, t) for t in range(sub.ngens)], sub)
+        V[g] = R.matmul(R.matmul(coords, level.V(g)), gens)
+        F[g] = R.matmul(R.matmul(coords, level.F_lift(g)), gens)
+        if g + 1 in basis:
+            d[g] = R.matmul(R.matmul(basis[g + 1][1], level.d(g)), gens)
+    return Level(R, level.n, pieces, V, d, F, r=level.r)
 
 
 class ModelTower(Tower):

@@ -24,6 +24,7 @@ from raynaud.linalg import (
     kernel_gens,
     kernel_into,
     minimal_gens,
+    normal_basis,
     present_span,
     Pres,
     quotient_by,
@@ -852,6 +853,24 @@ def test_minimal_gens_presentation_carries_its_normal_form(case):
     U, _, sexps = smith_normal_form(pres.rels, R, right=False)
     assert exps == sexps + [R.m] * (pres.ngens - len(sexps))
     assert np.array_equal(P, U)
+
+
+@PROPERTY
+@given(spans_in_presented_modules())
+def test_normal_basis_coordinates_generators_and_presentation(case):
+    """Every element is gens @ (coords @ x) modulo the relations, coords
+    inverts gens on each kept cyclic factor, and the presentation on
+    gens has the module's own invariants."""
+    pres, _ = case
+    R = pres.R
+    gens, coords, sub = normal_basis(pres)
+    assert gens.shape == (pres.ngens, sub.ngens) and coords.shape == (sub.ngens, pres.ngens)
+    eye = R.eye(pres.ngens)
+    assert pres.rel_span().contains_all((eye - gens @ (coords @ eye)) % R.q)
+    back = (coords @ gens - R.eye(sub.ngens)) % R.q
+    for t, e in enumerate(sub.exps):
+        assert not (back[t] % R.p**e).any()
+    assert sub.min_exps() == pres.min_exps()
 
 
 @PROPERTY

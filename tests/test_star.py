@@ -6,8 +6,9 @@ import pytest
 
 from raynaud.blocks import make_block, truncate
 from raynaud.homs import find_isomorphism
-from raynaud.linalg import Pres, quotient_by
-from raynaud.rmod import check_relations
+from raynaud import linalg
+from raynaud.linalg import Pres, minimal_gens, quotient_by
+from raynaud.rmod import ModelTower, check_relations, condense_level, sub_level
 from raynaud.star import (
     ClosedFormInapplicable,
     StarModel,
@@ -55,6 +56,62 @@ def test_star_output_satisfies_relations():
     assert check_relations(tower, 2, 5).ok()
     tower2, _ = star_presentation(b["E"], b["E"], 2, 6)
     assert check_relations(tower2, 2, 5).ok()
+
+
+# the pairs of the star_oracle benchmark workload, and one at p = 3
+STAR_ORACLE_PAIRS = [
+    (2, ("Domino", {"t": -1}), ("UnitW", {})),
+    (2, ("Domino", {"t": 0}), ("ResidueK", {})),
+    (2, ("Dieudonne", {"i": 1, "j": 1}), ("ResidueK", {})),
+    (3, ("Domino", {"t": -1}), ("UnitW", {})),
+]
+
+
+def _star_base_level(p, a, b, m=3, n=8):
+    """The level `star_presentation(a, b, m, n)` condenses, built fresh
+    (no presentation's normal form cached yet)."""
+    M, N = make_block(a[0], p, **a[1]), make_block(b[0], p, **b[1])
+    model = StarModel(M, N, m, n + 3)
+    return ModelTower(model.model, p, depth_margin=1).level(m, n + 2)
+
+
+@pytest.mark.parametrize(
+    "p, a, b", STAR_ORACLE_PAIRS, ids=["2-Um1xW", "2-U0xk", "2-Exk", "3-Um1xW"]
+)
+def test_condense_level_agrees_with_the_solved_route(p, a, b):
+    """`condense_level` reads each grading's generators and coordinates
+    off its own normal form.  The oracle is the general route kept for
+    sub-objects: present the span of the identity (`minimal_gens`) and
+    solve for the operators on it (`sub_level`)."""
+    base = _star_base_level(p, a, b)
+    R = base.R
+    oracle = sub_level(
+        base,
+        {g: minimal_gens(R.eye(base.piece(g).ngens), base.piece(g).pres) for g in base.gradings()},
+    )
+    got = ModelTower(condense_level(base), p, depth_margin=1)
+    want = ModelTower(oracle, p, depth_margin=1)
+    for m, n in [(3, 8), (2, 6), (1, 4)]:
+        assert exps_of(got, m, n) == exps_of(want, m, n), (m, n)
+    assert check_relations(got, 2, 5).ok()
+
+
+def test_condense_level_runs_two_snfs_per_nonempty_grading(monkeypatch):
+    """One SNF for the grading's normal form and one for the inverse of
+    its transform; no span is presented and nothing is solved."""
+    base = _star_base_level(*STAR_ORACLE_PAIRS[0])
+    calls = []
+    snf = linalg.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    condensed = condense_level(base)
+    nonempty = [g for g in base.gradings() if base.piece(g).ngens]
+    assert nonempty and len(calls) == 2 * len(nonempty)
+    assert condensed.gradings() == base.gradings()
 
 
 def test_closed_form_requires_bijective_frobenius():
