@@ -12,7 +12,7 @@ table of the counterexample fourfold.
 
 from .blocks import BlockModule, make_block, truncate
 from .formal import FormalObject, SpecError, Summand
-from .homs import cone_or_extension, formal_hom, hom_space, identify_block
+from .homs import cone_or_extension, identify_block
 from .invariants import (
     InvariantConfig,
     InvariantTable,
@@ -25,14 +25,12 @@ from .invariants import (
     mazur_ogus_check,
     newton_hodge_polygon,
     newton_slopes,
-    r1_tensor,
-    rn_tensor,
     slope_numbers,
     symmetry_check,
     totalize,
 )
 from .linalg import Pres, ZMod, smith_normal_form
-from .rmod import Level, Tower, Unstable, check_relations, check_transitions, standard_filtration
+from .rmod import Level, Tower, Unstable, check_relations, standard_filtration
 from .star import (
     ClosedFormInapplicable,
     derived_star,

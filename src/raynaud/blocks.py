@@ -225,10 +225,6 @@ class FiniteLengthTower(BlockTower):
     def _build(self, m, n):
         return self._inner.level(m, min(n, self.depth))
 
-    def proj(self, i, hi, lo):
-        (mh, nh), (ml, nl) = hi, lo
-        return self._inner.proj(i, (mh, min(nh, self.depth)), (ml, min(nl, self.depth)))
-
 
 @dataclass
 class BlockModule:

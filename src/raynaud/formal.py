@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 from .blocks import BlockModule, make_block
-from .rmod import SumTower
 
 
 class SpecError(ValueError):
@@ -55,17 +54,6 @@ class FormalObject:
         if (self.p, self.r) != (other.p, other.r):
             raise SpecError("incompatible parameters in direct sum")
         return FormalObject(self.p, self.r, self.summands + other.summands)
-
-    def degrees(self):
-        """Cohomological degrees where the object can be nonzero."""
-        return sorted({-s.j for s in self.summands})
-
-    def module_tower(self):
-        """SumTower of a single-degree object, with grading shifts applied."""
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise SpecError("object is not concentrated in one cohomological degree")
-        return SumTower([(s.block.tower, s.i) for s in self.summands], self.p, self.r)
 
     def __len__(self):
         return len(self.summands)

@@ -1,21 +1,23 @@
-"""Hom spaces, isomorphism search, and cones at finite truncation.
+"""Isomorphism search, block identification and cones at finite truncation.
 
 A morphism of towers is a compatible family of level maps commuting
-with V, d and with F across levels.  Solving at a single level keeps
-phantom solutions that do not lift up the tower (e.g. the socle maps
-k -> W_m), so `hom_space` solves a chain system over several levels and
-reports the span of the bottom component; the answer is accepted when
-two consecutive chain lengths agree.
+with V, d and with F and the projections across levels.
+`_chain_solutions` writes these conditions as one linear system over a
+chain of levels; `find_isomorphism` solves it over a chain of length 2
+and accepts a solution that is invertible at both levels.  Solving at a
+single level would keep phantom maps that do not lift up the tower
+(e.g. the socle maps k -> W_m), but an isomorphism found at both chain
+levels is one of the truncations in the tower sense.  `identify_block`
+matches a computed tower against named blocks up to a depth offset,
+and `cone_or_extension` builds the cone of k(-1) -> U_{-1}.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .linalg import Pres, ZMod, kernel_gens, quotient_by
-from .rmod import Level, Tower, Unstable, stable_pushdown
+from .rmod import Level, Tower, Unstable
 
 
 class ShiftDepth(Tower):
@@ -31,40 +33,6 @@ class ShiftDepth(Tower):
 
     def _build(self, m, n):
         return self.base.level(m, n + self.offset)
-
-    def proj(self, i, hi, lo):
-        (mh, nh), (ml, nl) = hi, lo
-        return self.base.proj(i, (mh, nh + self.offset), (ml, nl + self.offset))
-
-
-class HomResult:
-    def __init__(self, exps, stable, basis, base_level):
-        self.exps = exps  # annihilator exponents of the hom module
-        self.stable = stable
-        self.basis = basis  # list of dict grading -> matrix at base level
-        self.base_level = base_level
-
-    def dim_k(self):
-        if any(e != 1 for e in self.exps):
-            raise ValueError("hom space is not a k-vector space")
-        return len(self.exps)
-
-    def rank_and_torsion(self, precision):
-        free = sum(1 for e in self.exps if e >= precision)
-        tors = sorted(e for e in self.exps if 0 < e < precision)
-        return free, tors
-
-    def __repr__(self):
-        return f"<HomResult exps={self.exps} stable={self.stable}>"
-
-
-def _phi_ambient(src: Tower, dst: Tower, m, n) -> Pres:
-    """Ambient module of level maps, modulo maps into the relations: per
-    grading, one copy of the destination piece for each source generator."""
-    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
-    Ls, Ld = src.level(m, n), dst.level(m, n)
-    copies = [Ld.piece(i).pres for i in gradings for _ in range(Ls.piece(i).ngens)]
-    return Pres.direct_sum(ZMod(src.p, m), copies)
 
 
 def _step_maps(tower: Tower, i, hi, lo):
@@ -182,61 +150,6 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length):
     return G, offsets, levels
 
 
-def formal_hom(X, Y, m: int, n: int):
-    """Hom space between two formal objects concentrated in one
-    cohomological degree; zero when the degrees differ."""
-    degs_x, degs_y = X.degrees(), Y.degrees()
-    if len(degs_x) > 1 or len(degs_y) > 1:
-        raise ValueError("objects must be concentrated in one cohomological degree")
-    if degs_x and degs_y and degs_x != degs_y:
-        return HomResult([], True, [], (m, n))
-    return hom_space(X.module_tower(), Y.module_tower(), m, n)
-
-
-def hom_space(src: Tower, dst: Tower, m: int, n: int):
-    """Tower homs src -> dst reported at level (m, n).
-
-    Returns a HomResult whose exps describe Hom as a Z/p^m-module: the
-    span of the bottom components phi^(0) of the chain solutions, modulo
-    the maps into the destination relations.  Chain lengths 2, 3, 4, 5
-    are tried in turn; raises Unstable if no two consecutive ones agree.
-    """
-    amb = _phi_ambient(src, dst, m, n)
-
-    def bottom_at(k):
-        G, offsets, _ = _chain_solutions(src, dst, m, n, k + 1)
-        bottom = sum(nd * ns for (c, _), (_, nd, ns) in offsets.items() if c == 0)
-        return G[:bottom, :], amb.R.eye(bottom)
-
-    K, G0 = stable_pushdown(bottom_at, amb, steps=4, what="hom space")
-    return HomResult(K.min_exps(), True, _unpack_basis(G0, src, dst, m, n), (m, n))
-
-
-def _unpack_basis(G0, src, dst, m, n):
-    """Solution columns as per-grading matrices, dropping maps whose
-    image lies in the destination relations (the zero homs)."""
-    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
-    Ls, Ld = src.level(m, n), dst.level(m, n)
-    q = src.p**m
-    basis = []
-    for col in range(G0.shape[1]):
-        mats = {}
-        off = 0
-        nonzero = False
-        for i in gradings:
-            ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
-            blockv = G0[off : off + ns * nd, col]
-            mats[i] = blockv.reshape(ns, nd).T % q
-            if mats[i].size:
-                span = Ld.piece(i).pres.rel_span()
-                if any(not span.contains(mats[i][:, c]) for c in range(ns)):
-                    nonzero = True
-            off += ns * nd
-        if nonzero:
-            basis.append(mats)
-    return basis
-
-
 def is_isomorphism_at(phi, src: Tower, dst: Tower, m, n) -> bool:
     """phi (dict grading -> matrix) is invertible at level (m, n)."""
     Ls, Ld = src.level(m, n), dst.level(m, n)
@@ -344,9 +257,10 @@ def fingerprints_match(model: Tower, cand: Tower, m, n) -> bool:
 class QuotientTower(Tower):
     """A tower modulo a compatible family of extra relation columns.
 
-    extra(m, n) returns {grading: columns}; the span must be stable
-    under V, d and mapped into the lower span by F (true for the image
-    of any tower hom), so the inherited operator matrices descend.
+    extra(L) returns {grading: columns} for the base level L; the span
+    must be stable under V, d and mapped into the lower span by F (true
+    for the image of any tower hom), so the inherited operator matrices
+    descend.
     """
 
     def __init__(self, base: Tower, extra):
@@ -359,9 +273,10 @@ class QuotientTower(Tower):
 
     def _build(self, m, n):
         L = self.base.level(m, n)
+        extra = self.extra(L)
         pieces = {}
         for i, pc in L.pieces.items():
-            add = self.extra(m, n).get(i)
+            add = extra.get(i)
             if add is None or add.size == 0:
                 pieces[i] = pc
             else:
@@ -369,24 +284,15 @@ class QuotientTower(Tower):
                 pieces[i] = type(pc)(pc.labels, Pres(L.R, pc.ngens, rels))
         return Level(L.R, n, pieces, dict(L.opV), dict(L.opd), dict(L.opF), r=L.r)
 
-    def proj(self, i, hi, lo):
-        return self.base.proj(i, hi, lo)
 
-
-def canonical_map_k_to_domino(p, lam, m, n):
-    """The hom k(-1) -> U_{-1} with parameter lam, as level matrices.
+def canonical_map_k_to_domino(L: Level, lam):
+    """The hom k(-1) -> U_{-1} with parameter lam, as a matrix into the
+    U_{-1} level L.
 
     The image of 1 is lam * (dV^{-1} + dV^0 + dV^1 + ...): over F_p the
     compatibility lambda_j = lambda_{j+1}^p forces equal coefficients.
     """
-    from .blocks import DominoTower
-
-    tower = DominoTower(p, -1)
-    L = tower.level(m, n)
-    nu = L.piece(1).ngens
-    q = p**m
-    col = np.full((nu, 1), lam % q, dtype=np.int64)
-    return {1: col % q}
+    return {1: np.full((L.piece(1).ngens, 1), lam % L.R.q, dtype=np.int64)}
 
 
 def cone_or_extension(p, lam, m=3, n=8):
@@ -396,14 +302,15 @@ def cone_or_extension(p, lam, m=3, n=8):
     returned).  lam = 0: the split sum U_{-1} + k(-1)[1], returned as a
     formal object.
     """
-    from .blocks import DominoTower, make_block
+    from .blocks import make_block
     from .formal import FormalObject
 
     lam = int(lam) % p
+    um1 = make_block("Domino", p, t=-1)
     if lam == 0:
-        um1, kblk = make_block("Domino", p, t=-1), make_block("ResidueK", p)
+        kblk = make_block("ResidueK", p)
         return {"kind": "split", "object": FormalObject.of_blocks(p, 1, (um1, 0, 0), (kblk, -1, 1))}
-    cone = QuotientTower(DominoTower(p, -1), partial(canonical_map_k_to_domino, p, lam))
+    cone = QuotientTower(um1.tower, lambda L: canonical_map_k_to_domino(L, lam))
     # the map is injective on k (pro-stably), so the cone is the cokernel
     u0 = make_block("Domino", p, t=0)
     ident = identify_block(cone, [("U_0", u0.tower)], min(m, 3), min(n, 6))

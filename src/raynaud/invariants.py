@@ -35,8 +35,8 @@ from .linalg import (
     blockdiag,
     charpoly,
     induced_matrix,
-    invert_unimodular,
     kernel_into,
+    normal_basis,
     present_span,
     quotient_by,
 )
@@ -258,18 +258,15 @@ def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         cfg2 = InvariantConfig(cfg.m, max(cfg.n, _slope_depth(block, cfg.m)), cfg.steps)
         data = coeur(block, i, cfg2)
         m = cfg2.m
-        if data["gens"].shape[1] == 0:
-            return []
-        exps, P = data["heart"].normal_form()
-        free = [idx for idx, e in enumerate(exps) if e >= m]
-        if not free:
+        if data["gens"].shape[1] == 0 or data["free_rank"] == 0:
             return []
         Fmat = data["frobenius"]
         if Fmat is None:
             raise Unstable("heart Frobenius not expressible on the chosen generators")
+        gens, coords, sub = normal_basis(data["heart"])
+        f = [t for t, e in enumerate(sub.exps) if e >= m]
         R = ZMod(block.p, m)
-        F_y = R.matmul(R.matmul(P, Fmat), invert_unimodular(P, R))
-        A = F_y[np.ix_(free, free)]
+        A = R.matmul(R.matmul(coords[f], Fmat), gens[:, f])
         cp = charpoly(A, R)
         lam = newton_slopes_from_charpoly(cp, R)
         out = {}
@@ -373,20 +370,6 @@ def block_hodge_table(block: BlockModule, cfg=DEFAULT_CONFIG):
         return table
 
     return _cached(block, cfg, ("hodge",), compute)
-
-
-def r1_tensor(X: FormalObject, cfg=DEFAULT_CONFIG) -> TruncatedComplex:
-    return rn_tensor(X, 1, cfg)
-
-
-def rn_tensor(X: FormalObject, N, cfg=DEFAULT_CONFIG) -> TruncatedComplex:
-    entries = {}
-    for s in X.summands:
-        tc = rn_tensor_block(s.block, N, cfg)
-        for (g, deg), exps in tc.entries.items():
-            cell = (g - s.i, deg - s.j)
-            entries[cell] = sorted(entries.get(cell, []) + exps)
-    return TruncatedComplex(N, entries)
 
 
 def hodge_numbers(X: FormalObject, cfg=DEFAULT_CONFIG):

@@ -292,10 +292,9 @@ def kernel_gens(A, R: ZMod, src_exps=None, rows=None) -> np.ndarray:
     With `rows`, only the first `rows` coordinates of each generator are
     formed, and generators that vanish there are dropped.
     """
-    A = R.reduce(A)
-    cols = A.shape[1]
+    rows_A, cols = np.shape(A)
     gens = []
-    if A.shape[0] == 0 or not A.any():
+    if rows_A == 0 or not np.any(A):
         gens.append(R.eye(cols)[:rows])
     else:
         _, V, exps = smith_normal_form(A, R, left=False)
@@ -320,8 +319,7 @@ class Span:
 
     def __init__(self, G, R: ZMod):
         self.R = R
-        G = R.reduce(G)
-        self.shape = G.shape
+        self.shape = np.shape(G)
         self.U, _, self.exps = smith_normal_form(G, R, right=False)
 
     def _diagonal_quotient(self, X):
@@ -351,8 +349,7 @@ class LinearSolver(Span):
 
     def __init__(self, A, R: ZMod):
         self.R = R
-        A = R.reduce(A)
-        self.shape = A.shape
+        self.shape = np.shape(A)
         self.U, self.V, self.exps = smith_normal_form(A, R)
 
     def solve(self, b):

@@ -42,7 +42,6 @@ from .linalg import (
     kernel_into,
     normal_basis,
     present_span,
-    quotient_by,
 )
 
 
@@ -121,7 +120,11 @@ class Tower:
         return self._cache[key]
 
     def proj(self, i: int, hi: tuple, lo: tuple) -> np.ndarray:
-        """Canonical projection pieces@hi -> pieces@lo (label selection)."""
+        """Canonical projection pieces@hi -> pieces@lo (label selection).
+
+        This is the one projection rule: every tower's level maps select
+        generators by label, so a level whose labels repeat is refused.
+        """
         (mh, nh), (ml, nl) = hi, lo
         if mh < ml or nh < nl:
             raise ValueError("projection goes to a lower level")
@@ -130,6 +133,8 @@ class Tower:
         hi_labels = Lh.piece(i).labels
         lo_labels = Ll.piece(i).labels
         index = {lab: k for k, lab in enumerate(hi_labels)}
+        if len(index) < len(hi_labels):
+            raise ValueError(f"grading {i} repeats a generator label at level {hi}")
         P = Rl.zeros(len(lo_labels), len(hi_labels))
         for a, lab in enumerate(lo_labels):
             P[a, index[lab]] = 1
@@ -273,33 +278,6 @@ def _witness(A, dst: Pres):
     return None
 
 
-def check_transitions(tower: Tower, m: int, n: int) -> RelationReport:
-    """Transitions are surjective and commute with V, d (and F via FdV)."""
-    rep = RelationReport()
-    hi, lo = tower.level(m, n), tower.level(m, n - 1)
-    Rl = lo.R
-    for i in tower.gradings():
-        P = tower.proj(i, (m, n), (m, n - 1))
-        # surjectivity: every lo generator is hit
-        C = quotient_by(lo.piece(i).pres, P)
-        if not C.is_zero():
-            rep.add("transition surjective", i, None)
-        lhsV = Rl.matmul(lo.V(i), P)
-        rhsV = Rl.matmul(P, hi.V(i))
-        rep.require_zero("transition commutes with V", i, lhsV - rhsV, lo.piece(i).pres)
-        Pn = tower.proj(i + 1, (m, n), (m, n - 1))
-        lhsd = Rl.matmul(lo.d(i), P)
-        rhsd = Rl.matmul(Pn, hi.d(i))
-        rep.require_zero("transition commutes with d", i, lhsd - rhsd, lo.piece(i + 1).pres)
-        if n >= 2:
-            lo2 = tower.level(m, n - 2)
-            P2 = tower.proj(i, (m, n - 1), (m, n - 2))
-            lhsF = lo2.R.matmul(P2, tower.F_true(i, m, n))
-            rhsF = lo2.R.matmul(tower.F_true(i, m, n - 1), P)
-            rep.require_zero("transition commutes with F", i, lhsF - rhsF, lo2.piece(i).pres)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # towers built from an explicit finite model
 
@@ -390,11 +368,6 @@ class ModelTower(Tower):
             d[i] = self.model.d(i) % R.q
             F[i] = self.model.F_lift(i) % R.q
         return Level(R, n, pieces, V, d, F, r=self.r)
-
-    def proj(self, i, hi, lo):
-        Ll = self.level(*lo)
-        k = Ll.piece(i).ngens
-        return Ll.R.eye(k)
 
 
 # ---------------------------------------------------------------------------

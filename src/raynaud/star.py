@@ -429,7 +429,7 @@ class BandModel:
             for key, c in rule(kind, a, gm, units[gm][idx]):
                 hit = dst.index.get(key)
                 if hit is not None and hit[0] == g + shift:
-                    col[hit[1]] = (col[hit[1]] + c) % q
+                    col[hit[1]] = (int(col[hit[1]]) + c) % q
         return out
 
     def ops(self):

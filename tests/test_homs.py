@@ -1,49 +1,122 @@
 """Hom spaces, stabilization, isomorphism search, cones and extensions."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from raynaud import homs
-from raynaud.blocks import make_block, truncate
-from raynaud.formal import FormalObject
+from raynaud.blocks import make_block
 from raynaud.homs import (
     SearchExhausted,
     ShiftDepth,
     cone_or_extension,
     find_isomorphism,
-    formal_hom,
-    hom_space,
     identify_block,
 )
 from raynaud.invariants import InvariantConfig, domino_number_tower
 from raynaud.linalg import Pres, ZMod
-from raynaud.rmod import SumTower
+from raynaud.rmod import SumTower, stable_pushdown
+
+# ---------------------------------------------------------------------------
+# The chain-system oracle.  No product route asks for a Hom space: the
+# package only searches the chain system `homs._chain_solutions` for an
+# isomorphism.  `hom_exps` reads the same system as a Hom module, so the
+# brute-force enumerations below check the chain equations themselves.
+
+
+def _phi_ambient_by_columns(src, dst, m, n):
+    """Ambient module of level maps at (m, n), modulo maps into the
+    relations: per grading i, one copy of the destination piece for each
+    source generator, its relation columns written out one by one."""
+    R = ZMod(src.p, m)
+    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
+    Ls, Ld = src.level(m, n), dst.level(m, n)
+    total = sum(Ls.piece(i).ngens * Ld.piece(i).ngens for i in gradings)
+    cols = []
+    off = 0
+    for i in gradings:
+        ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
+        rels = Ld.piece(i).pres.rels
+        for c in range(ns):
+            for rc in range(rels.shape[1]):
+                v = np.zeros(total, dtype=np.int64)
+                v[off + c * nd : off + (c + 1) * nd] = rels[:, rc]
+                cols.append(v)
+        off += ns * nd
+    Z = np.stack(cols, axis=1) % R.q if cols else R.zeros(total, 0)
+    return Pres(R, total, Z)
+
+
+def hom_exps(src, dst, m, n):
+    """Tower homs src -> dst at level (m, n), as (exps, G0).
+
+    exps are the annihilator exponents of Hom as a Z/p^m-module: the span
+    of the bottom components phi^(0) of the chain solutions, pushed down
+    by `stable_pushdown` over chain lengths 2..5, modulo the maps into
+    the destination relations.  G0 holds the spanning columns, each
+    grading's block stored column-major.
+    """
+    amb = _phi_ambient_by_columns(src, dst, m, n)
+
+    def bottom_at(k):
+        G, offsets, _ = homs._chain_solutions(src, dst, m, n, k + 1)
+        bottom = sum(nd * ns for (c, _), (_, nd, ns) in offsets.items() if c == 0)
+        return G[:bottom, :], amb.R.eye(bottom)
+
+    K, G0 = stable_pushdown(bottom_at, amb, steps=4, what="hom space")
+    return K.min_exps(), G0
+
+
+def brute_force_tower_homs(src, dst, m, n):
+    """Enumerate every matrix family over two levels and keep the tower
+    homs: commuting with V, d, F and the transitions.  Only feasible
+    for one-generator pieces over tiny rings."""
+    q = src.p**m
+    Ls, Ld = src.level(m, n), dst.level(m, n)
+    Ls1, Ld1 = src.level(m, n - 1), dst.level(m, n - 1)
+    assert Ls.piece(0).ngens == Ld.piece(0).ngens == 1
+    sols = []
+    for phi in range(q):
+        for psi in range(q):
+            ok = True
+            # V-commutation at the top level
+            lhs = (phi * Ls.V(0)[0, 0]) % q
+            rhs = (Ld.V(0)[0, 0] * phi) % q
+            ok &= Ld.piece(0).pres.element_is_zero(np.array([lhs - rhs]))
+            # F across levels and transition compatibility
+            Fs = src.F_true(0, m, n)[0, 0]
+            Fd = dst.F_true(0, m, n)[0, 0]
+            ok &= Ld1.piece(0).pres.element_is_zero(np.array([(Fd * phi - psi * Fs)]))
+            Ps = src.proj(0, (m, n), (m, n - 1))[0, 0]
+            Pd = dst.proj(0, (m, n), (m, n - 1))[0, 0]
+            ok &= Ld1.piece(0).pres.element_is_zero(np.array([(Pd * phi - psi * Ps)]))
+            if ok:
+                sols.append((phi, psi))
+    return sols
 
 
 def test_hom_k_shift_to_u_minus_one_is_one_dimensional():
     p = 2
     k_shifted = SumTower([(make_block("ResidueK", p).tower, -1)], p)  # k in grading 1
     um1 = make_block("Domino", p, t=-1).tower
-    h = hom_space(k_shifted, um1, 2, 6)
-    assert h.stable
-    assert h.exps == [1]
-    assert h.dim_k() == 1
-    # the generator hits every dV-slot with equal coefficients (F-compatibility)
-    mat = h.basis[0][1]
-    col = mat[:, 0] % p
-    assert len(set(col.tolist())) == 1 and col[0] % p != 0
+    exps, G0 = hom_exps(k_shifted, um1, 2, 6)
+    assert exps == [1]
+    # k(-1) has one generator, in grading 1 only, so each column of G0 is
+    # the image of that generator in U_{-1}'s grading-1 piece; the nonzero
+    # hom hits every dV-slot with equal coefficients (F-compatibility)
+    rels = um1.level(2, 6).piece(1).pres
+    assert G0.shape[0] == rels.ngens
+    images = [G0[:, c] for c in range(G0.shape[1]) if not rels.element_is_zero(G0[:, c])]
+    col = images[0] % p
+    assert len(set(col.tolist())) == 1 and col[0] != 0
 
 
 def test_hom_w_w_free_of_rank_one():
     p = 3
     w = make_block("UnitW", p).tower
-    h = hom_space(w, w, 3, 6)
-    assert h.exps == [3]
-    assert h.rank_and_torsion(3) == (1, [])
+    assert hom_exps(w, w, 3, 6)[0] == [3]
 
 
 def test_hom_socle_phantom_dies():
@@ -52,24 +125,78 @@ def test_hom_socle_phantom_dies():
     p = 2
     d = make_block("DAlphaP", p).tower
     w = make_block("UnitW", p).tower
-    h = hom_space(d, w, 3, 6)
-    assert h.exps == []
+    assert hom_exps(d, w, 3, 6)[0] == []
 
 
-def test_hom_degree_mismatch_is_zero():
-    p = 2
-    x = FormalObject.of_blocks(p, 1, ("UnitW", 0, 0))
-    y = FormalObject.of_blocks(p, 1, ("UnitW", 0, -1))
-    h = formal_hom(x, y, 3, 6)
-    assert h.exps == []
+def test_hom_w_w_matches_brute_force():
+    # the full solution set of maps W -> W at (2, 4) is the free rank-1
+    # module of scalars; the chain solver reports the same
+    w = make_block("UnitW", 2).tower
+    sols = brute_force_tower_homs(w, w, 2, 4)
+    phis = sorted({phi for phi, _ in sols})
+    assert phis == [0, 1, 2, 3]  # all scalars c, sigma(c) = c
+    assert hom_exps(w, w, 2, 4)[0] == [2]
 
 
-def test_formal_hom_spec_example():
-    p = 2
-    km1 = FormalObject.of_blocks(p, 1, ("ResidueK", -1, 0))
-    um1 = FormalObject.of_blocks(p, 1, (make_block("Domino", p, t=-1), 0, 0))
-    h = formal_hom(km1, um1, 2, 6)
-    assert h.dim_k() == 1
+def test_hom_d_w_matches_brute_force():
+    d = make_block("DAlphaP", 2).tower
+    w = make_block("UnitW", 2).tower
+    # brute force over single-level maps finds the socle phantoms, but
+    # the (phi, psi)-chains kill them: only the zero family survives
+    q = 4
+    Ls, Ld = d.level(2, 4), w.level(2, 4)
+    Ld1 = w.level(2, 3)
+    survivors = []
+    for phi in range(q):
+        if not Ld.piece(0).pres.element_is_zero(np.array([2 * phi])):
+            continue  # must be well-defined on the p-torsion source
+        for psi in range(q):
+            Fd = w.F_true(0, 2, 4)[0, 0]
+            # F phi = psi F_src = 0 and psi = phi mod the lower level
+            if (Fd * phi - 0) % 2 == 0 and (psi - phi) % 2 == 0:
+                if Ld1.piece(0).pres.element_is_zero(np.array([2 * psi])):
+                    survivors.append((phi, psi))
+    # phantoms exist levelwise (phi = 2) but each forces psi = 2 = p*unit,
+    # which is not well-defined one more level up; the solver agrees
+    assert hom_exps(d, w, 2, 4)[0] == []
+
+
+def test_hom_k_to_domino_matches_enumeration():
+    """The classifying Hom space, brute-forced: maps from the shifted
+    residue field into U_{-1} over two chain levels, enumerated over all
+    matrix pairs mod p, against the chain solver."""
+    p, m, n = 2, 1, 3
+    src = SumTower([(make_block("ResidueK", p).tower, -1)], p)
+    dst = make_block("Domino", p, t=-1).tower
+    Ls, Ld = src.level(m, n), dst.level(m, n)
+    Ls1, Ld1 = src.level(m, n - 1), dst.level(m, n - 1)
+    nu, nu1 = Ld.piece(1).ngens, Ld1.piece(1).ngens
+    Fs = src.F_true(1, m, n)
+    Fd = dst.F_true(1, m, n)
+    Ps = src.proj(1, (m, n), (m, n - 1))
+    Pd = dst.proj(1, (m, n), (m, n - 1))
+    sols = []
+    for phi_bits in itertools.product(range(p), repeat=nu):
+        phi = np.array(phi_bits, dtype=np.int64).reshape(nu, 1)
+        for psi_bits in itertools.product(range(p), repeat=nu1):
+            psi = np.array(psi_bits, dtype=np.int64).reshape(nu1, 1)
+            # V and d vanish on both sides; F and the transition must agree
+            okF = ((Fd @ phi - psi @ Fs) % p == 0).all()
+            okP = ((Pd @ phi - psi @ Ps) % p == 0).all()
+            if okF and okP:
+                sols.append(phi_bits)
+    nonzero = [s for s in sols if any(s)]
+    # exactly p - 1 nonzero solutions: the scalar multiples of the
+    # equal-coefficient map
+    assert len(nonzero) == p - 1
+    assert all(len(set(s)) == 1 for s in nonzero)
+    assert hom_exps(src, dst, m, n)[0] == [1]
+
+
+def test_hom_stable_across_truncations():
+    src = SumTower([(make_block("ResidueK", 2).tower, -1)], 2)
+    dst = make_block("Domino", 2, t=-1).tower
+    assert hom_exps(src, dst, 2, 6)[0] == hom_exps(src, dst, 3, 8)[0]
 
 
 def test_identify_distinguishes_dominoes():
@@ -185,54 +312,3 @@ def test_cone_independent_of_unit_chosen():
         towers.append(res["cone_tower"])
     phi = find_isomorphism(towers[0], towers[1], 2, 5)
     assert phi is not None
-
-
-def _phi_ambient_by_columns(src, dst, m, n):
-    """The reference for `homs._phi_ambient`: its relation columns written
-    out one by one, the destination relations of grading i placed in the
-    slot of each source generator of grading i."""
-    R = ZMod(src.p, m)
-    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
-    Ls, Ld = src.level(m, n), dst.level(m, n)
-    total = sum(Ls.piece(i).ngens * Ld.piece(i).ngens for i in gradings)
-    cols = []
-    off = 0
-    for i in gradings:
-        ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
-        rels = Ld.piece(i).pres.rels
-        for c in range(ns):
-            for rc in range(rels.shape[1]):
-                v = np.zeros(total, dtype=np.int64)
-                v[off + c * nd : off + (c + 1) * nd] = rels[:, rc]
-                cols.append(v)
-        off += ns * nd
-    Z = np.stack(cols, axis=1) % R.q if cols else R.zeros(total, 0)
-    return Pres(R, total, Z)
-
-
-BLOCK_SPECS = [
-    ("UnitW", {}),
-    ("ResidueK", {}),
-    ("DAlphaP", {}),
-    ("Domino", {"t": -1}),
-    ("Domino", {"t": 0}),
-    ("Dieudonne", {"i": 1, "j": 1}),
-]
-
-
-@settings(derandomize=True, deadline=None, max_examples=25)
-@given(
-    st.sampled_from(BLOCK_SPECS),
-    st.sampled_from(BLOCK_SPECS),
-    st.integers(-1, 1),
-    st.sampled_from([2, 3]),
-    st.integers(1, 2),
-    st.integers(2, 5),
-)
-def test_phi_ambient_direct_sum_matches_column_loop(a, b, shift, p, m, n):
-    src = SumTower([(make_block(a[0], p, **a[1]).tower, shift)], p)
-    dst = make_block(b[0], p, **b[1]).tower
-    got, ref = homs._phi_ambient(src, dst, m, n), _phi_ambient_by_columns(src, dst, m, n)
-    assert got.ngens == ref.ngens
-    assert got.rels.shape == ref.rels.shape
-    assert got.rels.tobytes() == ref.rels.tobytes()

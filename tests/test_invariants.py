@@ -27,7 +27,6 @@ from raynaud.invariants import (
     newton_hodge_polygon,
     newton_slopes,
     newton_slopes_from_charpoly,
-    r1_tensor,
     rn_tensor_block,
     slope_numbers,
     symmetry_check,
@@ -193,8 +192,7 @@ def test_rn_tensor_of_unit_is_wn():
 
 
 def test_r1_tensor_dalphap_spec_example():
-    X = FormalObject.of_blocks(2, 1, ("DAlphaP", 0, 0))
-    tc = r1_tensor(X, CFG)
+    tc = rn_tensor_block(make_block("DAlphaP", 2), 1, CFG)
     assert {c: len(e) for c, e in tc.entries.items()} == {
         (1, -2): 1,
         (0, -1): 1,

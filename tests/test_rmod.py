@@ -5,18 +5,45 @@ import pytest
 
 from raynaud.blocks import make_block, truncate
 from raynaud.formal import FormalObject
-from raynaud.linalg import Pres, ZMod, kernel_into
+from raynaud.linalg import Pres, ZMod, kernel_into, quotient_by
 from raynaud.rmod import (
     Level,
+    RelationReport,
     Tower,
     Unstable,
     check_relations,
-    check_transitions,
     eventual_kernel,
     stable_pushdown,
     standard_filtration,
 )
 from raynaud.witt import FiniteField
+
+def check_transitions(tower: Tower, m: int, n: int) -> RelationReport:
+    """Transitions are surjective and commute with V, d (and F via FdV)."""
+    rep = RelationReport()
+    hi, lo = tower.level(m, n), tower.level(m, n - 1)
+    Rl = lo.R
+    for i in tower.gradings():
+        P = tower.proj(i, (m, n), (m, n - 1))
+        # surjectivity: every lo generator is hit
+        C = quotient_by(lo.piece(i).pres, P)
+        if not C.is_zero():
+            rep.add("transition surjective", i, None)
+        lhsV = Rl.matmul(lo.V(i), P)
+        rhsV = Rl.matmul(P, hi.V(i))
+        rep.require_zero("transition commutes with V", i, lhsV - rhsV, lo.piece(i).pres)
+        Pn = tower.proj(i + 1, (m, n), (m, n - 1))
+        lhsd = Rl.matmul(lo.d(i), P)
+        rhsd = Rl.matmul(Pn, hi.d(i))
+        rep.require_zero("transition commutes with d", i, lhsd - rhsd, lo.piece(i + 1).pres)
+        if n >= 2:
+            lo2 = tower.level(m, n - 2)
+            P2 = tower.proj(i, (m, n - 1), (m, n - 2))
+            lhsF = lo2.R.matmul(P2, tower.F_true(i, m, n))
+            rhsF = lo2.R.matmul(tower.F_true(i, m, n - 1), P)
+            rep.require_zero("transition commutes with F", i, lhsF - rhsF, lo2.piece(i).pres)
+    return rep
+
 
 ALL_KINDS = [
     ("UnitW", {}),

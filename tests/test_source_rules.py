@@ -33,9 +33,15 @@ def _references(path):
 
 
 def test_every_module_level_definition_is_used():
-    # code that nothing calls is deleted; a name only tests use does not count
+    # code that nothing calls is deleted; a name only tests use does not
+    # count, and neither does a re-export in the package's __init__.py
     root = SRC.parent.parent
-    files = [f for d in ("src", "demos", "bench") for f in sorted((root / d).rglob("*.py"))]
+    files = [
+        f
+        for d in ("src", "demos", "bench")
+        for f in sorted((root / d).rglob("*.py"))
+        if f != SRC / "__init__.py"
+    ]
     refs = {}
     for path in files:
         for name, line in _references(path):
@@ -53,6 +59,20 @@ def test_every_module_level_definition_is_used():
             if not outside:
                 unused.append(f"{path.name}:{node.name}")
     assert not unused, f"module-level definitions nothing uses: {unused}"
+
+
+def test_only_the_tower_base_class_defines_proj():
+    # level maps are label selections: `Tower.proj` reads every tower's
+    # projection off its generator labels, so no tower overrides it
+    found = [
+        f"{path.name}:{cls.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "proj"
+    ]
+    assert found == ["rmod.py:Tower"], f"proj defined in {found}"
 
 
 def test_the_package_multiplies_only_through_zmod_matmul():

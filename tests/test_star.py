@@ -284,6 +284,15 @@ def test_derived_star_identifications_and_offsets(second, m, n, expected):
     assert got == expected
 
 
+def test_derived_star_at_p7_above_the_int64_range():
+    # at p = 7, (m, n) = (6, 12) the coefficient p^t of d(F^t * x) in the
+    # band model passes 2^63 before it is reduced mod 7^6
+    e = make_block("Dieudonne", 7, i=1, j=1)
+    res = derived_star(e, make_block("DAlphaP", 7), 6, 12)
+    assert [res[w]["status"] for w in ("H-1", "H0")] == ["identified", "identified"]
+    assert (res["H-1"]["identified"], res["H0"]["identified"]) == ("U_-1", "U_1")
+
+
 def test_derived_star_records_an_exhausted_search(monkeypatch):
     import raynaud.homs
 
