@@ -14,6 +14,8 @@ and `cone_or_extension` builds the cone of k(-1) -> U_{-1}.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .linalg import Pres, ZMod, kernel_gens, quotient_by
@@ -192,10 +194,10 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
     rng = np.random.default_rng(0)
     RB = ZMod(src.p, max(mc for mc, _ in levels))
     ncand = G.shape[1]
-    vectors = [RB.matmul(G, rng.integers(0, RB.q, size=ncand)) for _ in range(40)]
-    vectors += [G[:, c] for c in range(ncand)]
+    # formed one at a time, in the rng's order: most searches stop early
+    vectors = (RB.matmul(G, rng.integers(0, RB.q, size=ncand)) for _ in range(40))
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
-    for vec in vectors:
+    for vec in itertools.chain(vectors, G.T):
         phis = []
         for c, (mc, nc) in enumerate(levels):
             mats = {}
@@ -210,7 +212,7 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
     if not fingerprints_match(dst, src, m, n):
         return None
     raise SearchExhausted(
-        f"isomorphism search exhausted: none of {len(vectors)} candidates is invertible "
+        f"isomorphism search exhausted: none of {40 + ncand} candidates is invertible "
         f"at the levels {levels}"
     )
 

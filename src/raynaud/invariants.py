@@ -85,21 +85,36 @@ def _cached(block, cfg, what, compute):
 
 
 def _v_infty_z(tower: Tower, i, m, n):
-    """Generators of the stable kernel of all d V^s at level (m, n)."""
+    """Generators of the stable kernel of all d V^s at level (m, n).
+
+    At most n + 1 steps: a `ShiftDepth` level can be deeper than n.  V
+    is nilpotent on a level, so the loop stops once d V^s is zero, and a
+    step whose d V^s G is zero keeps G (the kernel of a zero map is
+    everything).  The result depends only on the level, i and n, so it
+    is cached on the level, keyed by (i, n), and returned read-only.
+    """
     L = tower.level(m, n)
+    if (i, n) in L.v_infty_z:
+        return L.v_infty_z[(i, n)]
     R = L.R
     piece = L.piece(i)
     G = R.eye(piece.ngens)
     tgt = L.piece(i + 1).pres
     dVs = L.d(i)  # d V^s
     for _ in range(n + 1):
-        ker = kernel_into(R.matmul(dVs, G), Pres(R, G.shape[1]), tgt)
-        G = R.matmul(G, ker)
-        G = G[:, G.any(axis=0)] if G.size else G
-        if not G.size:
-            break
+        A = R.matmul(dVs, G)
+        if A.any():
+            G = R.matmul(G, kernel_into(A, Pres(R, G.shape[1]), tgt))
+            G = G[:, G.any(axis=0)]
+            if not G.size:
+                break
         dVs = R.matmul(dVs, L.V(i))
-    return G if G.size else R.zeros(piece.ngens, 0)
+        if not dVs.any():
+            break
+    G = G if G.size else R.zeros(piece.ngens, 0)
+    G.flags.writeable = False
+    L.v_infty_z[(i, n)] = G
+    return G
 
 
 def _stable_v_infty_z(tower: Tower, i, m, n, steps):

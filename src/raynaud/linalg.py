@@ -293,21 +293,19 @@ def kernel_gens(A, R: ZMod, src_exps=None, rows=None) -> np.ndarray:
     formed, and generators that vanish there are dropped.
     """
     rows_A, cols = np.shape(A)
-    gens = []
     if rows_A == 0 or not np.any(A):
-        gens.append(R.eye(cols)[:rows])
+        G = R.eye(cols)[:rows]
     else:
+        # column t of V spans p^(m - e_t) times itself in the kernel (0
+        # when e_t = 0), and every column past the diagonal all of itself
         _, V, exps = smith_normal_form(A, R, left=False)
-        V = V[:rows]
-        exps = np.array(exps, dtype=np.int64)
-        r = len(exps)
-        scaled = (V[:, :r] * R.p ** (R.m - exps)) % R.q
-        gens += [scaled[:, exps > 0], V[:, r:]]
+        scale = np.ones(cols, dtype=np.int64)
+        scale[: len(exps)] = R.p ** (R.m - np.array(exps, dtype=np.int64)) % R.q
+        G = V[:rows] * scale % R.q
     if src_exps is not None:
         lat = np.diag([R.p ** min(e, R.m) for e in src_exps]).astype(np.int64) % R.q
-        gens.append(lat[:rows])
-    G = np.concatenate(gens, axis=1) % R.q
-    return G[:, G.any(axis=0)] if G.size else G
+        G = np.concatenate([G, lat[:rows]], axis=1)
+    return G[:, G.any(axis=0)]
 
 
 class Span:
@@ -468,9 +466,9 @@ def kernel_into(A, src: Pres, dst: Pres) -> np.ndarray:
     """
     R = src.R
     # unknowns (x, y) with A x - rels_dst y = 0 over Z/q
-    big = np.concatenate([R.reduce(A), (-dst.rels) % R.q], axis=1)
+    big = np.concatenate([A, (-dst.rels) % R.q], axis=1)
     G = kernel_gens(big, R, rows=src.ngens)
-    G = np.concatenate([G, src.rels], axis=1) % R.q
+    G = np.concatenate([G, src.rels], axis=1)
     G = G[:, G.any(axis=0)]
     return G if G.size else R.zeros(src.ngens, 0)
 

@@ -15,8 +15,10 @@ hold exactly at every level and are verified by `check_relations`.
 
 Kernels and cohomology at a single level carry truncation phantoms
 (e.g. ker(V) on W_m); every reported quantity is therefore the eventual
-image along level transitions, with double-step stabilization
-detection (`Unstable` when the configured maximum is reached).
+image along level transitions (`stable_pushdown`), accepted once two
+consecutive pushdowns span the same submodule of the base piece; only
+the accepted span is presented (`Unstable` when the configured maximum
+is reached).
 
 `fil_gens` is the one builder of Fil^s: the truncation levels of a
 `ModelTower`, `standard_filtration`, the finite-length check and the
@@ -75,6 +77,7 @@ class Level:
         self.opd = d  # dict grading -> matrix into grading + 1
         self.opF = F  # dict grading -> lift matrix (true map = proj @ F)
         self._empty = LevelPiece([], Pres(R, 0))  # shared by every absent grading
+        self.v_infty_z = {}  # (i, n) -> invariants._v_infty_z at this level
 
     def gradings(self):
         return sorted(self.pieces)
@@ -421,19 +424,19 @@ def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
     `gens_at(k)` returns (gens, proj) for chain step k >= 1: generator
     columns at level k and the composed projection matrix from that
     level's piece down to the base piece.  Pushdowns shrink as k grows;
-    the result is accepted once two consecutive spans agree.
+    step k is accepted once its span equals step k - 1's in the base
+    piece.  Only the accepted span G is presented: the result is
+    (K, G) with K = `present_span(G, base_piece)[0]`.
     """
     R = base_piece.R
     prev = None
     for k in range(1, steps + 1):
         gens, proj = gens_at(k)
         G = R.matmul(proj, gens)
-        K, _ = present_span(G, base_piece)
-        if prev is not None:
-            Kp, Gp = prev
-            if Kp.min_exps() == K.min_exps() and _same_span(Gp, G, base_piece):
-                return K, G
-        prev = (K, G)
+        if prev is not None and _same_span(prev, G, base_piece):
+            K, _ = present_span(G, base_piece)
+            return K, G
+        prev = G
     raise Unstable(f"{what} did not stabilize along the level chain")
 
 

@@ -245,6 +245,30 @@ def test_find_isomorphism_exhausted_search_is_not_a_no(monkeypatch):
     assert tried == len(calls) > 40
 
 
+def test_find_isomorphism_forms_no_more_candidates_than_it_tests(monkeypatch):
+    # each random combination draws its coefficients when the search
+    # reaches it, so a search that stops early forms no more
+    draws = []
+    real_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def integers(self, *args, **kwargs):
+            draws.append(args)
+            return self.rng.integers(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    calls = _count_isomorphism_tests(monkeypatch)
+    for t in (-1, 0, 1):
+        draws.clear()
+        calls.clear()
+        u = make_block("Domino", 2, t=t).tower
+        assert find_isomorphism(u, u, 2, 5) is not None
+        assert 0 < len(draws) <= len(calls) < 40
+
+
 def test_identify_block_passes_over_an_exhausted_candidate(monkeypatch):
     u0 = make_block("Domino", 2, t=0).tower
     first = ShiftDepth(u0, 0)  # the same tower under another name

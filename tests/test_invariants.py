@@ -12,11 +12,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from raynaud.blocks import make_block
+from test_coverage_extras import finite_length_block
+
+from raynaud import invariants
+from raynaud.blocks import DominoTower, make_block
 from raynaud.formal import FormalObject
+from raynaud.homs import ShiftDepth
 from raynaud.invariants import (
     InvariantConfig,
     _f_infty_b,
+    _v_infty_z,
     coeur,
     crew_check,
     domino_number,
@@ -32,7 +37,7 @@ from raynaud.invariants import (
     symmetry_check,
     totalize,
 )
-from raynaud.linalg import ZMod
+from raynaud.linalg import Pres, Span, ZMod, kernel_into
 from raynaud.rmod import Unstable
 
 CFG = InvariantConfig(3, 8, 3)
@@ -323,3 +328,72 @@ def test_block_metadata_agrees_with_computed_invariants():
         for g in b.tower.gradings():
             if g not in (b.dominoes or {}):
                 assert domino_number(b, g, CFG) == 0, b.label()
+
+
+def _v_infty_z_every_step(tower, i, m, n):
+    """V^-inf Z with all n + 1 steps and a kernel at each, zero map or
+    not, and no cache.  Kept only as the oracle of `_v_infty_z`, which
+    stops at d V^s = 0, skips zero products and caches per level."""
+    L = tower.level(m, n)
+    R = L.R
+    piece = L.piece(i)
+    G = R.eye(piece.ngens)
+    tgt = L.piece(i + 1).pres
+    dVs = L.d(i)  # d V^s
+    for _ in range(n + 1):
+        ker = kernel_into(R.matmul(dVs, G), Pres(R, G.shape[1]), tgt)
+        G = R.matmul(G, ker)
+        G = G[:, G.any(axis=0)] if G.size else G
+        if not G.size:
+            break
+        dVs = R.matmul(dVs, L.V(i))
+    return G if G.size else R.zeros(piece.ngens, 0)
+
+
+V_INFTY_Z_BLOCKS = [
+    ("UnitW", {}),
+    ("ResidueK", {}),
+    ("DAlphaP", {}),
+    ("Domino", {"t": -1}),
+    ("Domino", {"t": 0}),
+    ("Domino", {"t": 1}),
+    ("Dieudonne", {"i": 1, "j": 1}),
+    ("Dieudonne", {"i": 2, "j": 1}),
+    ("FiniteLength", {}),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("kind,params", V_INFTY_Z_BLOCKS)
+def test_v_infty_z_spans_what_every_step_spans(kind, params, p):
+    block = finite_length_block(p) if kind == "FiniteLength" else make_block(kind, p, **params)
+    # a depth-shifted tower reads levels deeper than its n: the n + 1 bound stays
+    for tower in (block.tower, ShiftDepth(block.tower, 2)):
+        gradings = tower.gradings()
+        for m, n in [(2, 5), (3, 8)]:
+            R = tower.level(m, n).R
+            for i in range(min(gradings) - 1, max(gradings) + 2):
+                got = _v_infty_z(tower, i, m, n)
+                want = _v_infty_z_every_step(tower, i, m, n)
+                assert got.shape[0] == want.shape[0]
+                assert Span(got, R).contains_all(want) and Span(want, R).contains_all(got)
+
+
+def test_v_infty_z_solves_no_zero_map_and_nothing_twice(monkeypatch):
+    solved = []  # per kernel_into call: is the map nonzero?
+    real = invariants.kernel_into
+
+    def counted(A, src, dst):
+        solved.append(bool((np.asarray(A) % src.R.q).any()))
+        return real(A, src, dst)
+
+    monkeypatch.setattr(invariants, "kernel_into", counted)
+    tower = DominoTower(2, 0)  # not the session's cached block: cold levels
+    first = {i: _v_infty_z(tower, i, 3, 8) for i in tower.gradings()}
+    assert solved and all(solved), f"{solved.count(False)} kernels of a zero map"
+    before = len(solved)
+    for i, G in first.items():
+        assert _v_infty_z(tower, i, 3, 8) is G
+        with pytest.raises(ValueError):
+            G[...] = 0  # the cached array is read-only
+    assert len(solved) == before

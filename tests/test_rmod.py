@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from raynaud import rmod
 from raynaud.blocks import make_block, truncate
 from raynaud.formal import FormalObject
-from raynaud.linalg import Pres, ZMod, kernel_into, quotient_by
+from raynaud.linalg import Pres, ZMod, kernel_into, present_span, quotient_by
 from raynaud.rmod import (
     Level,
     RelationReport,
     Tower,
     Unstable,
+    _same_span,
     check_relations,
     eventual_kernel,
     stable_pushdown,
@@ -262,3 +266,121 @@ def test_eventual_kernel_matches_the_hand_written_pushdown(kind, params):
         K_new, G_new = eventual_kernel(step, base, steps=3, what="ker d")
         assert K_new.min_exps() == K_old.min_exps()
         assert np.array_equal(G_new, G_old)
+
+
+def _count_present_span(monkeypatch):
+    calls = []
+    real = rmod.present_span
+
+    def counted(G, amb):
+        calls.append(G)
+        return real(G, amb)
+
+    monkeypatch.setattr(rmod, "present_span", counted)
+    return calls
+
+
+def test_stable_pushdown_presents_only_the_accepted_span(monkeypatch):
+    calls = _count_present_span(monkeypatch)
+    R = ZMod(2, 3)
+    K, G = stable_pushdown(
+        lambda k: (np.array([[2 ** min(k, 2)]]), R.eye(1)), Pres(R, 1), steps=5, what="probe"
+    )
+    assert len(calls) == 1 and calls[0] is G
+    # an eventual kernel along a real level chain: one presentation too
+    tower = make_block("Domino", 2, t=0).tower
+    for g in tower.gradings():
+        calls.clear()
+
+        def step(k):
+            Lk = tower.level(2 + k, 6 + k)
+            P = tower.proj(g, (2 + k, 6 + k), (2, 6))
+            return Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres, P
+
+        K, G = eventual_kernel(step, tower.level(2, 6).piece(g).pres, steps=3, what="ker d")
+        assert len(calls) == 1 and calls[0] is G
+    # a chain that never settles presents nothing
+    calls.clear()
+    with pytest.raises(Unstable):
+        stable_pushdown(lambda k: (np.array([[2**k]]), R.eye(1)), Pres(R, 1), steps=3)
+    assert calls == []
+
+
+def _pushdown_by_both_tests(gens_at, base_piece, steps):
+    """`stable_pushdown`'s acceptance before it presented only the
+    accepted span: every step presented, and step k accepted when its
+    min_exps equal step k - 1's and the two spans are equal.  Kept only
+    as the oracle of the span-equality rule.  Returns (k, K, G), or None
+    when no step is accepted."""
+    R = base_piece.R
+    prev = None
+    for k in range(1, steps + 1):
+        gens, proj = gens_at(k)
+        G = R.matmul(proj, gens)
+        K, _ = present_span(G, base_piece)
+        if prev is not None:
+            Kp, Gp = prev
+            if Kp.min_exps() == K.min_exps() and _same_span(Gp, G, base_piece):
+                return k, K, G
+        prev = (K, G)
+    return None
+
+
+def _pushdown_by_span_equality(gens_at, base_piece, steps):
+    """`stable_pushdown` as (k, K, G), or None where it raises Unstable."""
+    used = []
+
+    def counted(k):
+        used.append(k)
+        return gens_at(k)
+
+    try:
+        K, G = stable_pushdown(counted, base_piece, steps=steps)
+    except Unstable:
+        return None
+    return used[-1], K, G
+
+
+def _assert_same_acceptance(gens_at, base_piece, steps):
+    got = _pushdown_by_span_equality(gens_at, base_piece, steps)
+    want = _pushdown_by_both_tests(gens_at, base_piece, steps)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0]
+        assert got[1].rels.tobytes() == want[1].rels.tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+    return got
+
+
+def test_span_equality_accepts_where_both_tests_accepted():
+    R = ZMod(2, 3)
+    base = Pres(R, 2)
+    e1, e2 = np.array([[1], [0]]), np.array([[0], [1]])
+    # min_exps agree at every step ([3]) but the spans differ until step 3
+    chain = {1: e1, 2: e2}
+    got = _assert_same_acceptance(lambda k: (chain.get(k, e2), R.eye(2)), base, 4)
+    assert got[0] == 3
+    # min_exps disagree ([2] then [1]) until the span settles at step 3
+    chain = {1: 2 * e1}
+    got = _assert_same_acceptance(lambda k: (chain.get(k, 4 * e1), R.eye(2)), base, 4)
+    assert got[0] == 3
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_span_equality_accepts_where_both_tests_accept_on_random_chains(data):
+    # chains drawn from a pool of two or three spans, so that consecutive
+    # spans are often equal, inside a base piece with random relations
+    R = ZMod(data.draw(st.sampled_from([2, 3])), data.draw(st.integers(1, 3)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def matrix(rows, cols):
+        vals = R.p ** rng.integers(0, R.m + 1, size=(rows, cols))
+        return (vals * rng.integers(0, R.q, size=(rows, cols))) % R.q
+
+    ngens = data.draw(st.integers(1, 3))
+    base = Pres(R, ngens, matrix(ngens, data.draw(st.integers(0, 2))))
+    pool = [matrix(ngens, data.draw(st.integers(0, 3))) for _ in range(data.draw(st.integers(2, 3)))]
+    steps = data.draw(st.integers(2, 5))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=steps, max_size=steps))
+    _assert_same_acceptance(lambda k: (pool[picks[k - 1]], R.eye(ngens)), base, steps)

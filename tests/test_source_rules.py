@@ -106,3 +106,38 @@ def test_the_package_multiplies_only_through_zmod_matmul():
             ):
                 found.append(f"{path.name}:{node.lineno} {node.attr}")
     assert not found, f"products outside ZMod.matmul: {found}"
+
+
+def _is_empty_container(node):
+    """An empty dict, list or set: `{}`, `[]`, or `dict()`, `list()`,
+    `set()`, `defaultdict(...)`, `OrderedDict()` and the like."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if isinstance(node, ast.Call):
+        fn = node.func
+        name = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+        if name == "defaultdict":
+            return True
+        return name in {"dict", "list", "set", "OrderedDict", "Counter"} and not node.args
+    return False
+
+
+def test_module_level_caches_are_the_ones_the_bench_checks():
+    # each benchmark repetition starts cold: the bench checks that these
+    # two module-level dicts are empty after import.  A cache kept anywhere
+    # else for the life of the process would slip past that check, so
+    # per-run memos live on objects (a tower's levels, a block) instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if _is_empty_container(value):
+                found += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+    assert sorted(found) == ["blocks._BLOCK_INSTANCES", "invariants._BLOCK_CACHE"], found
