@@ -2,23 +2,32 @@
 
 A morphism of towers is a compatible family of level maps commuting
 with V, d and with F and the projections across levels.
-`_chain_solutions` writes these conditions as one linear system over a
-chain of levels; `find_isomorphism` solves it over a chain of length 2
-and accepts a solution that is invertible at both levels.  Solving at a
-single level would keep phantom maps that do not lift up the tower
-(e.g. the socle maps k -> W_m), but an isomorphism found at both chain
-levels is one of the truncations in the tower sense.  `identify_block`
-matches a computed tower against named blocks up to a depth offset,
-and `cone_or_extension` builds the cone of k(-1) -> U_{-1}.
+`_chain_solutions` writes these conditions as one linear system over
+the chain of levels (m, n), (m + 1, n + 1), on each level's normal
+basis: with (gens, coords, sub) = `normal_basis` of a grading's piece on
+either side, the unknown is psi = coords_dst phi gens_src, a map between
+the minimal presentations.  Since x = gens (coords x) modulo the
+relations, psi -> gens_dst psi coords_src and phi -> coords_dst phi
+gens_src are mutually inverse on tower maps modulo relations, so the
+system has the same solutions as the one written on the levels' own
+generators, with one unknown per pair of nonzero cyclic factors.
+`find_isomorphism` maps its candidates back to phi and accepts one that
+is invertible at both levels.  Solving at a single level would keep
+phantom maps that do not lift up the tower (e.g. the socle maps
+k -> W_m), but an isomorphism found at both chain levels is one of the
+truncations in the tower sense.  `identify_block` matches a computed
+tower against named blocks up to a depth offset, and
+`cone_or_extension` builds the cone of k(-1) -> U_{-1}.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
-from .linalg import Pres, ZMod, kernel_gens, quotient_by
+from .linalg import Pres, ZMod, kernel_gens, normal_basis, quotient_by
 from .rmod import Level, Tower, Unstable
 
 
@@ -46,50 +55,58 @@ def _step_maps(tower: Tower, i, hi, lo):
     return ZMod(tower.p, ml).matmul(PF, F1), P
 
 
-def _chain_solutions(src: Tower, dst: Tower, m, n, length):
-    """Solve the chain system over the levels (m + min(c, 2), n + c).
+def _chain_solutions(src: Tower, dst: Tower, m, n):
+    """Solve the chain system over the levels (m, n) and (m + 1, n + 1)
+    on each level's normal basis.
 
-    Returns (G, offsets, levels): G holds the solutions over the top
-    precision, and offsets[(c, i)] = (row, nd, ns) locates the nd x ns
-    block phi^(c) of grading i (stored column-major).
+    Returns (G, offsets, levels, bases): G holds the solutions over the
+    top precision; offsets[(c, i)] = (row, kd, ks) locates the kd x ks
+    block psi^(c)_i of grading i (stored column-major), and
+    bases[(side, c, i)] = (gens, coords, sub) is the `normal_basis` of
+    grading i at chain level c of src (side 0) or dst (side 1).  The
+    level map is phi^(c)_i = gens_dst psi^(c)_i coords_src.
     """
-    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
-    levels = [(m + min(c, 2), n + c) for c in range(length)]
-    Mbig = max(mc for mc, _ in levels)
-    RB = ZMod(src.p, Mbig)
     p = src.p
+    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
+    levels = [(m, n), (m + 1, n + 1)]
+    RB = ZMod(p, m + 1)
 
+    bases = {}
     offsets = {}
     lattice = []
     total = 0
     for c, (mc, nc) in enumerate(levels):
-        Ls, Ld = src.level(mc, nc), dst.level(mc, nc)
         for i in gradings:
-            ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
-            offsets[(c, i)] = (total, nd, ns)
-            lattice.extend([mc] * (nd * ns))  # phi^(c) entries live mod p^mc
-            total += nd * ns
+            for side, tower in enumerate((src, dst)):
+                bases[side, c, i] = normal_basis(tower.level(mc, nc).piece(i).pres)
+            ks, kd = bases[0, c, i][2].ngens, bases[1, c, i][2].ngens
+            offsets[(c, i)] = (total, kd, ks)
+            lattice.extend([mc] * (kd * ks))  # psi^(c) entries live mod p^mc
+            total += kd * ks
 
-    rows = []
+    def on_bases(side, op, out, inp):
+        """coords_out op gens_inp: an operator between the normal bases
+        of (chain level, grading) inp and out, at out's precision."""
+        R = ZMod(p, levels[out[0]][0])
+        return R.matmul(R.matmul(bases[(side,) + out][1], op), bases[(side,) + inp][0])
 
     def kron_block(A, B):
         return np.kron(B.T.astype(np.int64), A.astype(np.int64)) % RB.q
 
-    def add_equation(parts, target: Pres, mc):
-        """sum_parts A phi B == 0 mod rels(target), target at precision mc."""
-        if target.ngens == 0 or not parts:
-            return
+    def eye(k):
+        return np.eye(k, dtype=np.int64)
+
+    rows = []
+
+    def add_equation(parts, target: Pres):
+        """sum_parts A psi B == 0 in target, a `normal_basis` module: its
+        relations are diagonal, so row t is scaled by p^(top - e_t)."""
+        exps = target.exps
         width = parts[0][1].shape[0]
         E = np.zeros((width, total), dtype=np.int64)
         for off, C in parts:
             E[:, off : off + C.shape[1]] = (E[:, off : off + C.shape[1]] + C) % RB.q
-        exps, P = target.normal_form()
-        ncopies = width // target.ngens
-        # P acts on each of the ncopies row blocks of E; zero columns stay zero
-        live = E.any(axis=0)
-        blocks = E[:, live].reshape(ncopies, target.ngens, -1)
-        E[:, live] = RB.matmul(P, blocks).reshape(width, -1)
-        scale = np.tile([p ** (Mbig - min(e, mc)) for e in exps], ncopies)
+        scale = np.tile([p ** (RB.m - e) for e in exps], width // len(exps))
         E = (E * scale[:, None]) % RB.q
         keep = E.any(axis=1)
         if keep.any():
@@ -98,58 +115,47 @@ def _chain_solutions(src: Tower, dst: Tower, m, n, length):
     for c, (mc, nc) in enumerate(levels):
         Ls, Ld = src.level(mc, nc), dst.level(mc, nc)
         for i in gradings:
-            off, nd, ns = offsets[(c, i)]
-            if ns == 0 or nd == 0:
+            off, kd, ks = offsets[(c, i)]
+            if ks == 0:
                 continue
-            tgt = Ld.piece(i).pres
-            rels = Ls.piece(i).pres.rels
-            if rels.shape[1]:
-                add_equation([(off, kron_block(np.eye(nd, dtype=np.int64), rels))], tgt, mc)
-            # V-commutation: phi V_src - V_dst phi = 0
-            add_equation(
-                [
-                    (off, kron_block(np.eye(nd, dtype=np.int64), Ls.V(i))),
-                    (off, (-kron_block(Ld.V(i), np.eye(ns, dtype=np.int64))) % RB.q),
-                ],
-                tgt,
-                mc,
-            )
+            if kd:
+                tgt, rels = bases[1, c, i][2], bases[0, c, i][2].rels
+                if rels.shape[1]:
+                    add_equation([(off, kron_block(eye(kd), rels))], tgt)
+                # V-commutation: psi V_src - V_dst psi = 0
+                Vs = on_bases(0, Ls.V(i), (c, i), (c, i))
+                Vd = on_bases(1, Ld.V(i), (c, i), (c, i))
+                add_equation(
+                    [(off, kron_block(eye(kd), Vs)), (off, (-kron_block(Vd, eye(ks))) % RB.q)],
+                    tgt,
+                )
             # d-commutation into grading i + 1
-            tgt_d = Ld.piece(i + 1).pres
-            nd1 = Ld.piece(i + 1).ngens
-            if tgt_d.ngens and nd1:
-                parts = [(off, (-kron_block(Ld.d(i), np.eye(ns, dtype=np.int64))) % RB.q)]
-                off1, nd_up, ns_up = offsets[(c, i + 1)]
-                if nd_up and ns_up:
-                    parts.append((off1, kron_block(np.eye(nd1, dtype=np.int64), Ls.d(i))))
-                add_equation(parts, tgt_d, mc)
+            off1, kd1, ks1 = offsets.get((c, i + 1), (0, 0, 0))
+            if kd1:
+                dd = on_bases(1, Ld.d(i), (c, i + 1), (c, i))
+                ds = on_bases(0, Ls.d(i), (c, i + 1), (c, i))
+                parts = [(off, (-kron_block(dd, eye(ks))) % RB.q)]
+                if ks1:
+                    parts.append((off1, kron_block(eye(kd1), ds)))
+                add_equation(parts, bases[1, c, i + 1][2])
         if c >= 1:
-            ml, nl = levels[c - 1]
-            Ldl = dst.level(ml, nl)
             for i in gradings:
-                off_hi, _, ns_hi = offsets[(c, i)]
-                off_lo, nd_lo, ns_lo = offsets[(c - 1, i)]
-                tgt = Ldl.piece(i).pres
-                if tgt.ngens == 0 or ns_hi == 0:
+                off_hi, kd_hi, ks_hi = offsets[(c, i)]
+                off_lo, kd_lo, ks_lo = offsets[(c - 1, i)]
+                if kd_lo == 0 or ks_hi == 0:
                     continue
-                Fs, Ps = _step_maps(src, i, levels[c], levels[c - 1])
-                Fd, Pd = _step_maps(dst, i, levels[c], levels[c - 1])
-                # F phi^(c) = phi^(c-1) F  and  proj phi^(c) = phi^(c-1) proj
-                parts_f = [(off_hi, (-kron_block(Fd, np.eye(ns_hi, dtype=np.int64))) % RB.q)]
-                parts_p = [(off_hi, (-kron_block(Pd, np.eye(ns_hi, dtype=np.int64))) % RB.q)]
-                if nd_lo and ns_lo:
-                    parts_f.append((off_lo, kron_block(np.eye(nd_lo, dtype=np.int64), Fs)))
-                    parts_p.append((off_lo, kron_block(np.eye(nd_lo, dtype=np.int64), Ps)))
-                add_equation(parts_f, tgt, ml)
-                add_equation(parts_p, tgt, ml)
+                hi, lo = (c, i), (c - 1, i)
+                Fs, Ps = (on_bases(0, M, lo, hi) for M in _step_maps(src, i, levels[c], levels[c - 1]))
+                Fd, Pd = (on_bases(1, M, lo, hi) for M in _step_maps(dst, i, levels[c], levels[c - 1]))
+                # F psi^(c) = psi^(c-1) F  and  proj psi^(c) = psi^(c-1) proj
+                for Md, Ms in ((Fd, Fs), (Pd, Ps)):
+                    parts = [(off_hi, (-kron_block(Md, eye(ks_hi))) % RB.q)]
+                    if ks_lo:
+                        parts.append((off_lo, kron_block(eye(kd_lo), Ms)))
+                    add_equation(parts, bases[1, c - 1, i][2])
 
-    if rows:
-        big = np.concatenate(rows, axis=0) % RB.q
-        G = kernel_gens(big, RB, src_exps=lattice)
-    else:
-        G = np.diag([p**e for e in lattice]).astype(np.int64) if lattice else RB.zeros(0, 0)
-        G = np.concatenate([RB.eye(total), G], axis=1) if total else G
-    return G, offsets, levels
+    big = np.concatenate(rows, axis=0) if rows else RB.zeros(0, total)
+    return kernel_gens(big, RB, src_exps=lattice), offsets, levels, bases
 
 
 def is_isomorphism_at(phi, src: Tower, dst: Tower, m, n) -> bool:
@@ -180,30 +186,39 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
 
     Phantom homs are harmless here: any solution that is invertible at
     (m, n) and whose chain partner is invertible at the level above is
-    an isomorphism of the truncations in the tower sense.  The candidates
-    are 40 random combinations of the solution columns (a fixed seed, so
-    the search is reproducible), then the columns themselves.
+    an isomorphism of the truncations in the tower sense.  The chain
+    system is solved on each level's normal basis (`_chain_solutions`);
+    the candidates are 40 random combinations of its solution columns,
+    drawn one at a time from `random.Random(0)` (a fixed seed, so the
+    search is reproducible), then the columns themselves.  Each is
+    mapped back to phi = gens_dst psi coords_src, in dst's own
+    coordinates, and decided by `is_isomorphism_at` on the levels
+    themselves.  Returns phi at (m, n).
 
     None is a decided answer: the per-grading normal forms differ at a
     chain level, or there is no nonzero chain solution.  When every
     candidate fails, SearchExhausted is raised instead.
     """
-    G, offsets, levels = _chain_solutions(src, dst, m, n, 2)
+    G, offsets, levels, bases = _chain_solutions(src, dst, m, n)
     if not G.any():
         return None
-    rng = np.random.default_rng(0)
-    RB = ZMod(src.p, max(mc for mc, _ in levels))
+    rng = random.Random(0)
+    RB = ZMod(src.p, levels[-1][0])
     ncand = G.shape[1]
     # formed one at a time, in the rng's order: most searches stop early
-    vectors = (RB.matmul(G, rng.integers(0, RB.q, size=ncand)) for _ in range(40))
+    vectors = (
+        RB.matmul(G, np.array(rng.choices(range(RB.q), k=ncand), dtype=np.int64)) for _ in range(40)
+    )
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
     for vec in itertools.chain(vectors, G.T):
         phis = []
         for c, (mc, nc) in enumerate(levels):
+            R = ZMod(src.p, mc)
             mats = {}
             for i in gradings:
-                off, nd, ns = offsets[(c, i)]
-                mats[i] = vec[off : off + nd * ns].reshape(ns, nd).T % src.p**mc
+                off, kd, ks = offsets[(c, i)]
+                psi = vec[off : off + kd * ks].reshape(ks, kd).T
+                mats[i] = R.matmul(R.matmul(bases[1, c, i][0], psi), bases[0, c, i][1])
             if not is_isomorphism_at(mats, src, dst, mc, nc):
                 break
             phis.append(mats)

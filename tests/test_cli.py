@@ -161,6 +161,19 @@ def test_star_derived_reports_an_exhausted_search(specs, capsys, monkeypatch):
     assert data["H0"] == "search exhausted"
 
 
+def test_report_does_not_import_numpy_random():
+    # a fresh interpreter, so nothing the test session imported counts
+    code = (
+        "import contextlib, io, sys\n"
+        "from raynaud.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['report', '--p', '2']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_star_derived_requires_height_block(specs, capsys):
     code, out, err = run_cli(["star", specs["w"], specs["dap"], "--derived"], capsys)
     assert code == 2

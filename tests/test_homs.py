@@ -1,6 +1,7 @@
 """Hom spaces, stabilization, isomorphism search, cones and extensions."""
 
 import itertools
+import random
 import re
 
 import numpy as np
@@ -16,14 +17,123 @@ from raynaud.homs import (
     identify_block,
 )
 from raynaud.invariants import InvariantConfig, domino_number_tower
-from raynaud.linalg import Pres, ZMod
+from raynaud.linalg import Pres, Span, ZMod, kernel_gens
 from raynaud.rmod import SumTower, stable_pushdown
+from raynaud.star import derived_star
 
 # ---------------------------------------------------------------------------
-# The chain-system oracle.  No product route asks for a Hom space: the
-# package only searches the chain system `homs._chain_solutions` for an
-# isomorphism.  `hom_exps` reads the same system as a Hom module, so the
-# brute-force enumerations below check the chain equations themselves.
+# The chain-system oracle.  `chain_solutions_on_generators` writes the
+# chain system on each level's own generators: one unknown per pair of
+# generators, each equation reduced by its target's normal form.  The
+# package solves the same system on each level's normal basis
+# (`homs._chain_solutions`); this route is kept here only as the
+# independent oracle that the package's route is compared against (see
+# `test_chain_routes_have_the_same_solutions`).  No product route asks
+# for a Hom space, so `hom_exps` reads this system as a Hom module, and
+# the brute-force enumerations below check the chain equations
+# themselves.
+
+
+def chain_solutions_on_generators(src, dst, m, n, length):
+    """Solve the chain system over the levels (m + min(c, 2), n + c).
+
+    Returns (G, offsets, levels): G holds the solutions over the top
+    precision, and offsets[(c, i)] = (row, nd, ns) locates the nd x ns
+    block phi^(c) of grading i (stored column-major).
+    """
+    gradings = sorted(set(src.gradings()) | set(dst.gradings()))
+    levels = [(m + min(c, 2), n + c) for c in range(length)]
+    Mbig = max(mc for mc, _ in levels)
+    RB = ZMod(src.p, Mbig)
+    p = src.p
+
+    offsets = {}
+    lattice = []
+    total = 0
+    for c, (mc, nc) in enumerate(levels):
+        Ls, Ld = src.level(mc, nc), dst.level(mc, nc)
+        for i in gradings:
+            ns, nd = Ls.piece(i).ngens, Ld.piece(i).ngens
+            offsets[(c, i)] = (total, nd, ns)
+            lattice.extend([mc] * (nd * ns))  # phi^(c) entries live mod p^mc
+            total += nd * ns
+
+    rows = []
+
+    def kron_block(A, B):
+        return np.kron(B.T.astype(np.int64), A.astype(np.int64)) % RB.q
+
+    def add_equation(parts, target: Pres, mc):
+        """sum_parts A phi B == 0 mod rels(target), target at precision mc."""
+        if target.ngens == 0 or not parts:
+            return
+        width = parts[0][1].shape[0]
+        E = np.zeros((width, total), dtype=np.int64)
+        for off, C in parts:
+            E[:, off : off + C.shape[1]] = (E[:, off : off + C.shape[1]] + C) % RB.q
+        exps, P = target.normal_form()
+        ncopies = width // target.ngens
+        # P acts on each of the ncopies row blocks of E; zero columns stay zero
+        live = E.any(axis=0)
+        blocks = E[:, live].reshape(ncopies, target.ngens, -1)
+        E[:, live] = RB.matmul(P, blocks).reshape(width, -1)
+        scale = np.tile([p ** (Mbig - min(e, mc)) for e in exps], ncopies)
+        E = (E * scale[:, None]) % RB.q
+        keep = E.any(axis=1)
+        if keep.any():
+            rows.append(E[keep])
+
+    for c, (mc, nc) in enumerate(levels):
+        Ls, Ld = src.level(mc, nc), dst.level(mc, nc)
+        for i in gradings:
+            off, nd, ns = offsets[(c, i)]
+            if ns == 0:
+                continue
+            tgt = Ld.piece(i).pres
+            rels = Ls.piece(i).pres.rels
+            if rels.shape[1]:
+                add_equation([(off, kron_block(np.eye(nd, dtype=np.int64), rels))], tgt, mc)
+            # V-commutation: phi V_src - V_dst phi = 0
+            add_equation(
+                [
+                    (off, kron_block(np.eye(nd, dtype=np.int64), Ls.V(i))),
+                    (off, (-kron_block(Ld.V(i), np.eye(ns, dtype=np.int64))) % RB.q),
+                ],
+                tgt,
+                mc,
+            )
+            # d-commutation into grading i + 1, also when dst has nothing
+            # in grading i: then phi_{i+1} d_src = 0
+            tgt_d = Ld.piece(i + 1).pres
+            nd1 = Ld.piece(i + 1).ngens
+            if tgt_d.ngens and nd1:
+                parts = [(off, (-kron_block(Ld.d(i), np.eye(ns, dtype=np.int64))) % RB.q)]
+                off1, nd_up, ns_up = offsets[(c, i + 1)]
+                if nd_up and ns_up:
+                    parts.append((off1, kron_block(np.eye(nd1, dtype=np.int64), Ls.d(i))))
+                add_equation(parts, tgt_d, mc)
+        if c >= 1:
+            ml, nl = levels[c - 1]
+            Ldl = dst.level(ml, nl)
+            for i in gradings:
+                off_hi, _, ns_hi = offsets[(c, i)]
+                off_lo, nd_lo, ns_lo = offsets[(c - 1, i)]
+                tgt = Ldl.piece(i).pres
+                if tgt.ngens == 0 or ns_hi == 0:
+                    continue
+                Fs, Ps = homs._step_maps(src, i, levels[c], levels[c - 1])
+                Fd, Pd = homs._step_maps(dst, i, levels[c], levels[c - 1])
+                # F phi^(c) = phi^(c-1) F  and  proj phi^(c) = phi^(c-1) proj
+                parts_f = [(off_hi, (-kron_block(Fd, np.eye(ns_hi, dtype=np.int64))) % RB.q)]
+                parts_p = [(off_hi, (-kron_block(Pd, np.eye(ns_hi, dtype=np.int64))) % RB.q)]
+                if nd_lo and ns_lo:
+                    parts_f.append((off_lo, kron_block(np.eye(nd_lo, dtype=np.int64), Fs)))
+                    parts_p.append((off_lo, kron_block(np.eye(nd_lo, dtype=np.int64), Ps)))
+                add_equation(parts_f, tgt, ml)
+                add_equation(parts_p, tgt, ml)
+
+    big = np.concatenate(rows, axis=0) if rows else RB.zeros(0, total)
+    return kernel_gens(big, RB, src_exps=lattice), offsets, levels
 
 
 def _phi_ambient_by_columns(src, dst, m, n):
@@ -61,7 +171,7 @@ def hom_exps(src, dst, m, n):
     amb = _phi_ambient_by_columns(src, dst, m, n)
 
     def bottom_at(k):
-        G, offsets, _ = homs._chain_solutions(src, dst, m, n, k + 1)
+        G, offsets, _ = chain_solutions_on_generators(src, dst, m, n, k + 1)
         bottom = sum(nd * ns for (c, _), (_, nd, ns) in offsets.items() if c == 0)
         return G[:bottom, :], amb.R.eye(bottom)
 
@@ -199,6 +309,74 @@ def test_hom_stable_across_truncations():
     assert hom_exps(src, dst, 2, 6)[0] == hom_exps(src, dst, 3, 8)[0]
 
 
+def _transport(G, blocks_from, blocks_to, maps, p, levels):
+    """Carry every column of G block by block: the block of (c, i) at
+    blocks_from goes to left @ block @ right mod p^mc, with (left, right)
+    = maps[(c, i)], written column-major at blocks_to."""
+    total = sum(nr * nc for _, nr, nc in blocks_to.values())
+    out = np.zeros((total, G.shape[1]), dtype=np.int64)
+    for (c, i), (off, nr, nc) in blocks_from.items():
+        left, right = maps[(c, i)]
+        R = ZMod(p, levels[c][0])
+        to = blocks_to[(c, i)][0]
+        for col in range(G.shape[1]):
+            moved = R.matmul(R.matmul(left, G[off : off + nr * nc, col].reshape(nc, nr).T), right)
+            out[to : to + moved.size, col] = moved.T.reshape(-1)
+    return out
+
+
+def _derived_star_case(which):
+    # H^-1 or H^0 of E_{1/2} * D(alpha_p) at p = 2, against the block and
+    # depth offset it is identified with
+    res = derived_star(make_block("Dieudonne", 2, i=1, j=1), make_block("DAlphaP", 2), 2, 6)
+    entry = res[which]
+    t = {"U_-1": -1, "U_1": 1}[entry["identified"]]
+    return ShiftDepth(make_block("Domino", 2, t=t).tower, entry["offset"]), entry["model"]
+
+
+@pytest.mark.parametrize(
+    "case,m,n",
+    [
+        ("U_-1", 2, 5),
+        ("U_0", 2, 5),
+        ("U_1", 2, 5),
+        ("cone", 3, 6),
+        ("H-1", 2, 4),
+        ("H0", 2, 4),
+        ("U_0 -> W(-1)", 2, 5),
+    ],
+)
+def test_chain_routes_have_the_same_solutions(case, m, n):
+    # the normal-basis system of the package and the oracle's system on
+    # the levels' own generators: each route's solutions, carried into the
+    # other's coordinates (phi = gens_dst psi coords_src, psi = coords_dst
+    # phi gens_src), lie in the other's solution span
+    p = 2
+    if case == "U_0 -> W(-1)":
+        # not isomorphic: W(-1) has no grading 0, so only the equation
+        # phi_1 d_src = 0 keeps phi_1 a tower map
+        src = make_block("Domino", p, t=0).tower
+        dst = SumTower([(make_block("UnitW", p).tower, -1)], p)
+    elif case.startswith("U_"):
+        src = dst = make_block("Domino", p, t=int(case[2:])).tower
+    elif case == "cone":
+        src = make_block("Domino", p, t=0).tower
+        dst = cone_or_extension(p, 1, 3, 6)["cone_tower"]
+    else:
+        src, dst = _derived_star_case(case)
+    G_psi, at_psi, levels, bases = homs._chain_solutions(src, dst, m, n)
+    G_phi, at_phi, levels_phi = chain_solutions_on_generators(src, dst, m, n, 2)
+    assert levels == levels_phi
+    assert G_psi.any() and G_phi.any()
+    to_phi = {key: (bases[(1,) + key][0], bases[(0,) + key][1]) for key in at_psi}
+    to_psi = {key: (bases[(1,) + key][1], bases[(0,) + key][0]) for key in at_psi}
+    RB = ZMod(p, levels[-1][0])
+    assert Span(G_phi, RB).contains_all(_transport(G_psi, at_psi, at_phi, to_phi, p, levels))
+    assert Span(G_psi, RB).contains_all(_transport(G_phi, at_phi, at_psi, to_psi, p, levels))
+    # the normal-basis system has no more unknowns than the oracle's
+    assert G_psi.shape[0] <= G_phi.shape[0]
+
+
 def test_identify_distinguishes_dominoes():
     p = 2
     cands = [
@@ -246,20 +424,16 @@ def test_find_isomorphism_exhausted_search_is_not_a_no(monkeypatch):
 
 
 def test_find_isomorphism_forms_no_more_candidates_than_it_tests(monkeypatch):
-    # each random combination draws its coefficients when the search
-    # reaches it, so a search that stops early forms no more
+    # each random combination draws its coefficients (one `choices` call)
+    # when the search reaches it, so a search that stops early forms no more
     draws = []
-    real_rng = np.random.default_rng
 
-    class CountingRng:
-        def __init__(self, seed):
-            self.rng = real_rng(seed)
+    class CountingRandom(random.Random):
+        def choices(self, *args, **kwargs):
+            draws.append(kwargs.get("k"))
+            return super().choices(*args, **kwargs)
 
-        def integers(self, *args, **kwargs):
-            draws.append(args)
-            return self.rng.integers(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monkeypatch.setattr(homs.random, "Random", CountingRandom)
     calls = _count_isomorphism_tests(monkeypatch)
     for t in (-1, 0, 1):
         draws.clear()

@@ -108,6 +108,29 @@ def test_the_package_multiplies_only_through_zmod_matmul():
     assert not found, f"products outside ZMod.matmul: {found}"
 
 
+def test_the_package_does_not_use_numpy_random():
+    # importing numpy.random costs every process about 11 ms and 6 MiB of
+    # resident memory; the isomorphism search draws its random budget from
+    # the standard library's `random`, which `import numpy` loads anyway
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                used = node.attr == "random" and isinstance(node.value, ast.Name)
+                used = used and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                used = any(alias.name.startswith("numpy.random") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                used = (node.module or "").startswith("numpy.random") or (
+                    node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+                )
+            else:
+                continue
+            if used:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"numpy.random used in the package: {found}"
+
+
 def _is_empty_container(node):
     """An empty dict, list or set: `{}`, `[]`, or `dict()`, `list()`,
     `set()`, `defaultdict(...)`, `OrderedDict()` and the like."""
