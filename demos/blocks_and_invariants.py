@@ -50,7 +50,8 @@ def main():
     # U_0 placed in degree 0: the spectral-sequence torsion pattern
     X = FormalObject.of_blocks(p, 1, (u0, 0, 0))
     show_table("U_0 in degree 0", hodge_witt_numbers(X, CFG))
-    print("  Crew column i=1:", crew_check(X, 1, CFG).details)
+    crew = crew_check(X, 1, CFG).details
+    print(f"  Crew column i=1: sum (-1)^j h_W = {crew['hW_sum']}, sum (-1)^j h = {crew['h_sum']}")
 
     # projective 4-space: the diagonal ladder of unit blocks
     p4 = FormalObject.of_blocks(p, 1, *[("UnitW", -i, -i) for i in range(5)])

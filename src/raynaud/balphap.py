@@ -396,9 +396,7 @@ def structural_table(twisted):
     return cells
 
 
-def counterexample_report(cfg: PipelineConfig = None, **kwargs):
-    if cfg is None:
-        cfg = PipelineConfig(**kwargs)
+def counterexample_report(cfg: PipelineConfig):
     X, twisted, certs = counterexample_object(cfg)
     icfg = InvariantConfig(*cfg.cell_level())
     table = hodge_witt_numbers(X, icfg)

@@ -13,9 +13,11 @@ Kinds:
                     and the gluing f_0 = e_0, e_j = f_i; slopes j/(i+j).
 * ``FiniteLength`` -- an explicit finite model supplied by the caller.
 
-Each block carries exact metadata (slope multiset, domino counts, heart
-description) that the invariants layer cross-checks against honest
-computations on truncations.
+At r > 1 every generator label of a tower expands into r coordinates.
+Each block carries its tower, the V-depth its invariants need to
+stabilize, and its slope multiset.  The package reads the slopes
+only in `invariants.newton_slopes` at r > 1, where they are a recorded
+input rather than a computation.
 """
 
 from __future__ import annotations
@@ -40,30 +42,7 @@ def _sigma_blocks(p, r, m):
     return gr.sigma_matrix(), gr.sigma_matrix(inverse=True)
 
 
-def _mult_matrix(p, r, m, a):
-    """Multiplication by the Teichmueller lift [a] over Z/p^m."""
-    if r == 1:
-        return np.array([[int(a.coords[0]) % p**m]], dtype=np.int64)
-    gr = GaloisRing(p, r, m)
-    t = gr.teichmuller(a)
-    cols = []
-    for jdx in range(r):
-        basis = tuple(1 if k == jdx else 0 for k in range(r))
-        cols.append(gr.mul(t, basis))
-    return np.array(cols, dtype=np.int64).T % p**m
-
-
-class BlockTower(Tower):
-    """Label-based tower; r > 1 expands every label into r coordinates."""
-
-    def scalar_matrix(self, i, a, m, n):
-        L = self.level(m, n)
-        k = L.piece(i).ngens // max(self.r, 1)
-        blk = _mult_matrix(self.p, self.r, m, a)
-        return np.kron(np.eye(k, dtype=np.int64), blk) % ZMod(self.p, m).q
-
-
-class UnitWTower(BlockTower):
+class UnitWTower(Tower):
     def gradings(self):
         return [0]
 
@@ -78,7 +57,7 @@ class UnitWTower(BlockTower):
         return Level(R, n, pieces, V, {}, F, r=self.r)
 
 
-class ResidueKTower(BlockTower):
+class ResidueKTower(Tower):
     def gradings(self):
         return [0]
 
@@ -90,7 +69,7 @@ class ResidueKTower(BlockTower):
         return Level(R, n, pieces, {}, {}, {0: sig % R.q}, r=self.r)
 
 
-class DAlphaPTower(BlockTower):
+class DAlphaPTower(Tower):
     def gradings(self):
         return [0]
 
@@ -101,7 +80,7 @@ class DAlphaPTower(BlockTower):
         return Level(R, n, pieces, {}, {}, {}, r=self.r)
 
 
-class DominoTower(BlockTower):
+class DominoTower(Tower):
     def __init__(self, p, t, r=1):
         super().__init__(p, r)
         self.t = t
@@ -144,7 +123,7 @@ class DominoTower(BlockTower):
         return Level(R, n, pieces, V, d, F, r=self.r)
 
 
-class DieudonneTower(BlockTower):
+class DieudonneTower(Tower):
     def __init__(self, p, i, j, r=1):
         super().__init__(p, r)
         if i < 1 or j < 0 or gcd(i, j) != 1:
@@ -203,7 +182,7 @@ class DieudonneTower(BlockTower):
         return Level(R, n, pieces, {0: Vm}, {}, {0: Fm}, r=self.r)
 
 
-class FiniteLengthTower(BlockTower):
+class FiniteLengthTower(Tower):
     """Explicit model supplied as a Level whose filtration terminates.
 
     Requires Fil^(model.n) = 0, so truncation at any n >= model.n is the
@@ -228,7 +207,7 @@ class FiniteLengthTower(BlockTower):
 
 @dataclass
 class BlockModule:
-    """A named block with its tower and exact metadata."""
+    """A named block with its tower, stabilization depth and slopes."""
 
     kind: str
     params: dict
@@ -236,8 +215,6 @@ class BlockModule:
     r: int
     tower: Tower
     slopes: dict = field(default_factory=dict)  # Fraction -> multiplicity
-    dominoes: dict = field(default_factory=dict)  # grading -> count
-    coeur: str = ""
     stabilization: int = 2
 
     def label(self):
@@ -268,43 +245,19 @@ def make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
 
 def _make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     if kind == "UnitW":
-        return BlockModule(
-            kind, {}, p, r, UnitWTower(p, r), slopes={Fraction(0): 1}, coeur="W", stabilization=2
-        )
+        return BlockModule(kind, {}, p, r, UnitWTower(p, r), slopes={Fraction(0): 1})
     if kind == "ResidueK":
-        return BlockModule(
-            kind, {}, p, r, ResidueKTower(p, r), slopes={}, coeur="k (torsion)", stabilization=2
-        )
+        return BlockModule(kind, {}, p, r, ResidueKTower(p, r))
     if kind == "DAlphaP":
-        return BlockModule(
-            kind, {}, p, r, DAlphaPTower(p, r), slopes={}, coeur="k (torsion)", stabilization=2
-        )
+        return BlockModule(kind, {}, p, r, DAlphaPTower(p, r))
     if kind == "Domino":
         t = params["t"]
-        return BlockModule(
-            "Domino",
-            {"t": t},
-            p,
-            r,
-            DominoTower(p, t, r),
-            slopes={},
-            dominoes={0: 1},
-            coeur="0",
-            stabilization=abs(t) + 3,
-        )
+        return BlockModule(kind, {"t": t}, p, r, DominoTower(p, t, r), stabilization=abs(t) + 3)
     if kind == "Dieudonne":
         i, j = params["i"], params["j"]
         tower = DieudonneTower(p, i, j, r)  # validates coprimality
-        return BlockModule(
-            "Dieudonne",
-            {"i": i, "j": j},
-            p,
-            r,
-            tower,
-            slopes={Fraction(j, i + j): i + j},
-            coeur="self (F-crystal)",
-            stabilization=i + j + 1,
-        )
+        slopes = {Fraction(j, i + j): i + j}
+        return BlockModule(kind, {"i": i, "j": j}, p, r, tower, slopes, stabilization=i + j + 1)
     if kind == "FiniteLength":
         model = params["model"]
         return BlockModule(
@@ -314,8 +267,6 @@ def _make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
             r,
             FiniteLengthTower(model, p, r),
             slopes=params.get("slopes", {}),
-            dominoes=params.get("dominoes", {}),
-            coeur=params.get("coeur", "custom"),
             stabilization=params.get("stabilization", max(3, model.n)),
         )
     raise ValueError(f"unknown block kind {kind!r}")

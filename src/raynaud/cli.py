@@ -15,9 +15,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 invariant violation, failed check, or an
 inapplicable closed form; 2 parse error, an out-of-range prime,
-precision or V-depth, or a working precision past `ZMod`'s int64
-limit ((p^m)^2 < 2^62; 11 at p = 7); 3 non-stabilization.  JSON
-output has sorted keys, so identical inputs give identical bytes.
+precision or V-depth, a degree bound below 0, or a working precision
+past `ZMod`'s int64 limit ((p^m)^2 < 2^62; 11 at p = 7); 3
+non-stabilization.  JSON output has sorted keys, so identical inputs
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -116,9 +117,12 @@ def _check_prime(p):
 
 
 def _check_truncation(args):
-    for flag, value in (("--precision", args.precision), ("--vdepth", args.vdepth)):
-        if value < 1:
-            raise SpecError(f"{flag} must be at least 1, got {value}")
+    bounds = [("--precision", args.precision, 1), ("--vdepth", args.vdepth, 1)]
+    if args.command == "report":
+        bounds.append(("--degree-bound", args.degree_bound, 0))
+    for flag, value, least in bounds:
+        if value < least:
+            raise SpecError(f"{flag} must be at least {least}, got {value}")
 
 
 def _single_block(obj: FormalObject):
@@ -137,7 +141,7 @@ def cmd_invariants(args) -> int:
             return EXIT_VIOLATION
     table = hodge_witt_numbers(obj, cfg)
     if args.format == "md":
-        print(table.to_markdown("hW"))
+        print(table.to_markdown())
     else:
         print(table.to_json())
     return EXIT_OK

@@ -45,19 +45,6 @@ class FormalObject:
             summands.append(Summand(blk, i, j))
         return cls(p, r, summands)
 
-    def shift(self, a: int, b: int) -> "FormalObject":
-        return FormalObject(
-            self.p, self.r, [Summand(s.block, s.i + a, s.j + b) for s in self.summands]
-        )
-
-    def direct_sum(self, other: "FormalObject") -> "FormalObject":
-        if (self.p, self.r) != (other.p, other.r):
-            raise SpecError("incompatible parameters in direct sum")
-        return FormalObject(self.p, self.r, self.summands + other.summands)
-
-    def __len__(self):
-        return len(self.summands)
-
     def __repr__(self):
         parts = []
         for s in self.summands:

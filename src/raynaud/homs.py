@@ -312,7 +312,7 @@ def canonical_map_k_to_domino(L: Level, lam):
     return {1: np.full((L.piece(1).ngens, 1), lam % L.R.q, dtype=np.int64)}
 
 
-def cone_or_extension(p, lam, m=3, n=8):
+def cone_or_extension(p, lam, m, n):
     """Cone of the map k(-1) -> U_{-1} with class lam (r = 1).
 
     lam a unit: the cone is U_0 (explicit isomorphism of truncations is

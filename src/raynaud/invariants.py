@@ -296,37 +296,30 @@ def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
 # R_N tensor and Hodge numbers
 
 
-class TruncatedComplex:
-    """Cohomology record of the three-term complex per grading."""
-
-    def __init__(self, N, entries):
-        self.N = N
-        self.entries = entries  # dict (grading, degree) -> list of exponents
-
-
-def rn_tensor_block(block: BlockModule, N, cfg=DEFAULT_CONFIG) -> TruncatedComplex:
-    """Cohomology of R_N tensor (block) per grading, stabilized."""
+def rn_tensor_block(block: BlockModule, cfg=DEFAULT_CONFIG):
+    """Cohomology of R_1 tensor (block), stabilized: a dict
+    (grading, degree) -> exponents, for the nonzero entries."""
 
     def compute():
-        cfg2 = cfg.require(max(block.stabilization + 2, N + 2))
+        cfg2 = cfg.require(max(block.stabilization + 2, 3))
         tower = block.tower
-        # exhibiting W_N-level structure needs coefficient precision > N
-        m, n = max(cfg2.m, N + 1), max(cfg2.n, 2 * N + 2)
+        # exhibiting W_1-level structure needs coefficient precision > 1
+        m, n = max(cfg2.m, 2), max(cfg2.n, 4)
         entries = {}
         gradings = set(tower.gradings()) | {g + 1 for g in tower.gradings()}
         for g in sorted(gradings):
             # kernels of v_N, u_N shrink by one p-power per chain step
-            res = _rn_cohomology_at(tower, g, N, m, n, cfg2.steps + N + m)
+            res = _rn_cohomology_at(tower, g, m, n, cfg2.steps + 1 + m)
             for deg, exps in res.items():
                 if exps:
                     entries[(g, deg)] = exps
-        return TruncatedComplex(N, entries)
+        return entries
 
-    return _cached(block, cfg, ("rn", N), compute)
+    return _cached(block, cfg, ("rn",), compute)
 
 
-def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
-    """H^0, H^-1, H^-2 of the u_N/v_N complex at grading g."""
+def _rn_cohomology_at(tower: Tower, g, m, n, steps):
+    """H^0, H^-1, H^-2 of the u_N/v_N complex (N = 1) at grading g."""
     R = ZMod(tower.p, m)
 
     def pair_pres(mm, nn):
@@ -335,22 +328,22 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
         return Pres.direct_sum(L.R, [L.piece(g - 1).pres, L.piece(g).pres])
 
     def uN(mm, nn):
-        # from level (mm, nn + N) into (mm, nn)
-        Lhi = tower.level(mm, nn + N)
-        FN_same = compose_F(tower, g - 1, mm, nn + N, N)
-        FNd = ZMod(tower.p, mm).matmul(compose_F(tower, g, mm, nn + N, N), Lhi.d(g - 1))
-        return np.concatenate([FN_same, -FNd], axis=0) % (tower.p**mm)
+        # from level (mm, nn + 1) into (mm, nn)
+        Lhi = tower.level(mm, nn + 1)
+        F_same = compose_F(tower, g - 1, mm, nn + 1, 1)
+        Fd = ZMod(tower.p, mm).matmul(compose_F(tower, g, mm, nn + 1, 1), Lhi.d(g - 1))
+        return np.concatenate([F_same, -Fd], axis=0) % (tower.p**mm)
 
     out = {}
     # H^0: cokernel of v_N (right exact, no correction needed)
     pg = tower.level(m, n).piece(g)
-    out[0] = quotient_by(pg.pres, fil_gens(tower.level(m, n), N)[g]).min_exps()
+    out[0] = quotient_by(pg.pres, fil_gens(tower.level(m, n), 1)[g]).min_exps()
 
     # H^-1: stabilized ker(v_N) modulo im(u_N)
     def step_v(k):
         mm, nn = m + k, n + k
         P = blockdiag(R, [tower.proj(g - 1, (mm, nn), (m, n)), tower.proj(g, (mm, nn), (m, n))])
-        vN = fil_gens(tower.level(mm, nn), N)[g]
+        vN = fil_gens(tower.level(mm, nn), 1)[g]
         return vN, pair_pres(mm, nn), tower.level(mm, nn).piece(g).pres, P
 
     amb1 = pair_pres(m, n)
@@ -358,13 +351,13 @@ def _rn_cohomology_at(tower: Tower, g, N, m, n, steps):
     H1, _ = present_span(K1gens, quotient_by(amb1, uN(m, n)))
     out[-1] = H1.min_exps()
 
-    # H^-2: stabilized kernel of u_N inside M(-1) at level (m, n + N)
+    # H^-2: stabilized kernel of u_N inside M(-1) at level (m, n + 1)
     def step_u(k):
         mm, nn = m + k, n + k
-        P = tower.proj(g - 1, (mm, nn + N), (m, n + N))
-        return uN(mm, nn), tower.level(mm, nn + N).piece(g - 1).pres, pair_pres(mm, nn), P
+        P = tower.proj(g - 1, (mm, nn + 1), (m, n + 1))
+        return uN(mm, nn), tower.level(mm, nn + 1).piece(g - 1).pres, pair_pres(mm, nn), P
 
-    amb2 = tower.level(m, n + N).piece(g - 1).pres
+    amb2 = tower.level(m, n + 1).piece(g - 1).pres
     K2, K2gens = eventual_kernel(step_u, amb2, steps=steps, what="ker u_N")
     H2, _ = present_span(K2gens, amb2)
     out[-2] = H2.min_exps()
@@ -375,9 +368,8 @@ def block_hodge_table(block: BlockModule, cfg=DEFAULT_CONFIG):
     """h^{g,deg}(block) for the block placed in cohomological degree 0."""
 
     def compute():
-        tc = rn_tensor_block(block, 1, cfg)
         table = {}
-        for (g, deg), exps in tc.entries.items():
+        for (g, deg), exps in rn_tensor_block(block, cfg).items():
             if any(e > 1 for e in exps):
                 raise Unstable("R_1 cohomology must be killed by p")
             if exps:
@@ -447,18 +439,15 @@ def slope_numbers(X: FormalObject, cfg=DEFAULT_CONFIG):
 class InvariantTable:
     """The (i, j)-indexed record of h, h_W, T, m plus per-degree data."""
 
-    def __init__(self, h, hW, T, mvals, newton=None, newton_hodge=None, betti=None, config=None):
+    def __init__(self, h, hW, T, mvals, newton, newton_hodge, betti, config):
         self.h = h
         self.hW = hW
         self.T = T
         self.m = mvals
-        self.newton = newton or {}
-        self.newton_hodge = newton_hodge or {}
-        self.betti = betti or {}
+        self.newton = newton
+        self.newton_hodge = newton_hodge
+        self.betti = betti
         self.config = config
-
-    def cells(self):
-        return sorted(set(self.h) | set(self.hW) | set(self.T) | set(self.m))
 
     def to_json(self):
         def num(x):
@@ -478,23 +467,19 @@ class InvariantTable:
                 for nn, poly in sorted(self.newton_hodge.items())
             },
             "betti": {str(nn): int(v) for nn, v in sorted(self.betti.items())},
+            "truncation": {"m": self.config.m, "n": self.config.n},
         }
-        if self.config:
-            payload["truncation"] = {
-                "m": self.config.m,
-                "n": self.config.n,
-            }
         return json.dumps(payload, sort_keys=True)
 
-    def to_markdown(self, key="hW"):
-        table = getattr(self, key)
+    def to_markdown(self):
+        table = self.hW
         if not table:
-            return f"(empty {key} table)\n"
+            return "(empty hW table)\n"
         imax = max(i for i, _ in table)
         jmax = max(j for _, j in table)
         imin = min(0, min(i for i, _ in table))
         jmin = min(0, min(j for _, j in table))
-        lines = [f"{key}^(i,j) grid (rows j descending, columns i ascending):", ""]
+        lines = ["hW^(i,j) grid (rows j descending, columns i ascending):", ""]
         header = "| j\\i | " + " | ".join(str(i) for i in range(imin, imax + 1)) + " |"
         sep = "|" + "---|" * (imax - imin + 2)
         lines += [header, sep]
@@ -686,8 +671,9 @@ class CheckResult:
 def crew_check(X: FormalObject, i, cfg=DEFAULT_CONFIG) -> CheckResult:
     table = hodge_witt_numbers(X, cfg)
     js = sorted({j for (ii, j) in set(table.h) | set(table.hW) if ii == i})
-    lhs = sum((-1) ** j * table.hW.get((i, j), 0) for j in js)
-    rhs = sum((-1) ** j * table.h.get((i, j), 0) for j in js)
+    # (-1) ** (j % 2) keeps the sums exact: (-1) ** j is a float for j < 0
+    lhs = sum((-1) ** (j % 2) * table.hW.get((i, j), 0) for j in js)
+    rhs = sum((-1) ** (j % 2) * table.h.get((i, j), 0) for j in js)
     return CheckResult("crew", lhs == rhs, {"i": i, "hW_sum": lhs, "h_sum": rhs})
 
 

@@ -394,10 +394,6 @@ class Pres:
         self._span = None
 
     @classmethod
-    def free(cls, R: ZMod, ngens: int):
-        return cls(R, ngens)
-
-    @classmethod
     def direct_sum(cls, R: ZMod, pieces):
         """The direct sum of the presentations in the list `pieces`,
         generators in order."""
@@ -482,7 +478,7 @@ def present_span(G, amb: Pres):
     R = amb.R
     G = R.reduce(G)
     t = G.shape[1]
-    K_rels = kernel_into(G, Pres.free(R, t), amb)
+    K_rels = kernel_into(G, Pres(R, t), amb)
     return Pres(R, t, K_rels), G.copy()
 
 

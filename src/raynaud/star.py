@@ -659,6 +659,7 @@ def _band_select(src: BandModel, dst: BandModel, g):
     return M
 
 
-def _model_exps(tower: Tower, m=2, n=4):
-    L = tower.level(m, n)
+def _model_exps(tower: Tower):
+    """Per-grading normal forms of a derived-star model at level (2, 4)."""
+    L = tower.level(2, 4)
     return {g: L.piece(g).pres.min_exps() for g in L.gradings()}

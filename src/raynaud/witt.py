@@ -177,6 +177,8 @@ class FieldElt:
     def frobenius(self):
         return self**self.p
 
+    # test oracle only: the semilinearity check V a = sigma^-1(a) V of
+    # tests/test_rmod.py takes sigma^-1 of a scalar here
     def frobenius_inverse(self):
         return self ** (self.p ** (self.r - 1)) if self.r > 1 else self
 
@@ -307,6 +309,8 @@ class WittRing:
     def random(self, rng):
         return self.scalar([self.field.random(rng) for _ in range(self.m)])
 
+    # test oracle only: the exhaustive checks of tests/test_witt.py run
+    # over every element of W_m(F_q)
     def elements(self):
         for comps in itertools.product(list(self.field.elements()), repeat=self.m):
             yield WittScalar(self.p, self.r, self.m, tuple(comps))
@@ -329,10 +333,6 @@ def witt_neg(a: WittScalar) -> WittScalar:
 def frobenius(a: WittScalar) -> WittScalar:
     """sigma: coordinate-wise p-th power (k perfect)."""
     return WittScalar(a.p, a.r, a.m, tuple(c.frobenius() for c in a.components))
-
-
-def frobenius_inverse(a: WittScalar) -> WittScalar:
-    return WittScalar(a.p, a.r, a.m, tuple(c.frobenius_inverse() for c in a.components))
 
 
 def verschiebung(a: WittScalar) -> WittScalar:
@@ -440,6 +440,8 @@ class GaloisRing:
             total = self.add(total, self.scalar(self.p**i, self.teichmuller(root)))
         return total
 
+    # test oracle only: tests/test_witt.py::test_galois_ring_route_agrees
+    # reads the Galois-ring route back into Witt coordinates here
     def to_witt(self, z) -> WittScalar:
         comps = []
         for i, b in enumerate(self.digits(z)):

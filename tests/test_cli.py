@@ -236,6 +236,28 @@ def test_check_non_mazur_ogus_object_still_exits_zero(specs, capsys):
     assert all(v["pass"] for v in data["crew"].values())
 
 
+def test_check_prints_exact_crew_sums_on_negative_j_columns(tmp_path, capsys):
+    # columns 0 and 1 of E_{1/3} + U_1(1)[-1] at p = 3 hold j < 0 cells,
+    # where a float sign (-1) ** j would print "0.0" and "-2.0"
+    spec = tmp_path / "mixed.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "p": 3,
+                "object": [
+                    {"block": {"kind": "Dieudonne", "i": 2, "j": 1}, "shift": [0, 0]},
+                    {"block": {"kind": "Domino", "t": 1}, "shift": [1, -1]},
+                ],
+            }
+        )
+    )
+    code, out, err = run_cli(["check", str(spec)], capsys)
+    assert code == 0
+    crew = json.loads(out)["crew"]
+    assert crew["0"] == {"hW_sum": "0", "h_sum": "0", "pass": True}
+    assert crew["1"] == {"hW_sum": "-2", "h_sum": "-2", "pass": True}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "raynaud.cli", "report", "--degree-bound", "9"],
@@ -252,6 +274,7 @@ def test_console_entry_point():
         ["report", "--p", "1"],
         ["report", "--precision", "0"],
         ["report", "--vdepth", "0"],
+        ["report", "--degree-bound", "-1"],
     ],
 )
 def test_report_out_of_range_numbers_exit_2(args, capsys):

@@ -5,7 +5,7 @@ stress tests of the layered Smith pivot search.
 
 import numpy as np
 import pytest
-from test_rmod import check_transitions
+from test_rmod import check_semilinearity, check_transitions
 
 from raynaud.blocks import FiniteLengthTower, make_block
 from raynaud.formal import FormalObject, Summand
@@ -75,7 +75,7 @@ def test_degree_four_fields_and_blocks(p, r):
     w = field.gen()
     assert (w ** (p**r - 1)).coords == field.one().coords
     b = make_block("UnitW", p, r=r)
-    rep = check_relations(b.tower, 2, 4, scalar=w)
+    rep = check_semilinearity(b.tower, 2, 4, w)
     assert rep.ok()
 
 

@@ -475,7 +475,7 @@ def test_cone_of_unit_class_is_u0(p, lam):
 
 
 def test_cone_of_zero_class_splits():
-    res = cone_or_extension(2, 0)
+    res = cone_or_extension(2, 0, 3, 8)
     assert res["kind"] == "split"
     labels = sorted(s.block.label() for s in res["object"].summands)
     assert labels == ["U_-1", "k"]

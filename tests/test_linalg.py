@@ -62,8 +62,8 @@ def brute_span_size(G, R):
 
 
 def span_size_from_gens(G, R):
-    _, incl = present_span(G, Pres.free(R, G.shape[0]))
-    K, _ = present_span(G, Pres.free(R, G.shape[0]))
+    _, incl = present_span(G, Pres(R, G.shape[0]))
+    K, _ = present_span(G, Pres(R, G.shape[0]))
     return R.p ** K.length()
 
 
@@ -125,7 +125,7 @@ def test_kernel_with_target_exponents():
     R = ZMod(2, 3)
     A = R.reduce([[1], [2]])
     # target coordinates mod (2^1, 2^2): x = 0 mod 2 and 2x = 0 mod 4
-    G = kernel_into(A, Pres.free(R, 1), Pres(R, 2, np.diag([2, 4])))
+    G = kernel_into(A, Pres(R, 1), Pres(R, 2, np.diag([2, 4])))
     assert brute_span_size(G, R) == brute_kernel_size(A, R, dst_exps=[1, 2])
 
 
@@ -166,14 +166,14 @@ def test_present_span_and_subquotient():
 
 def test_quotient_by():
     R = ZMod(3, 2)
-    amb = Pres.free(R, 2)  # (Z/9)^2
+    amb = Pres(R, 2)  # (Z/9)^2
     Q = quotient_by(amb, R.reduce([[3], [0]]))
     assert sorted(Q.min_exps()) == [1, 2]
 
 
 def test_kernel_into_with_relations():
     R = ZMod(2, 2)
-    src = Pres.free(R, 1)  # Z/4
+    src = Pres(R, 1)  # Z/4
     dst = Pres(R, 1, R.reduce([[2]]))  # Z/2
     A = R.reduce([[1]])
     G = kernel_into(A, src, dst)
@@ -1005,6 +1005,6 @@ def test_pres_relations_do_not_follow_the_callers_array(cols):
     X[:] = 7
     assert pres.rels.tobytes() == before.tobytes()
     G = np.array([[1], [2], [0]], dtype=np.int64)
-    K, incl = present_span(G, Pres.free(R, 3))
+    K, incl = present_span(G, Pres(R, 3))
     G[:] = 8
     assert incl.tolist() == [[1], [2], [0]]

@@ -32,18 +32,23 @@ def _references(path):
                 yield alias.name, node.lineno
 
 
-def test_every_module_level_definition_is_used():
-    # code that nothing calls is deleted; a name only tests use does not
-    # count, and neither does a re-export in the package's __init__.py
+def _product_files():
+    """The package, the demos and the bench: every caller but the tests.
+    The package's __init__.py only re-exports, so it calls nothing."""
     root = SRC.parent.parent
-    files = [
+    return [
         f
         for d in ("src", "demos", "bench")
         for f in sorted((root / d).rglob("*.py"))
         if f != SRC / "__init__.py"
     ]
+
+
+def test_every_module_level_definition_is_used():
+    # code that nothing calls is deleted; a name only tests use does not
+    # count, and neither does a re-export in the package's __init__.py
     refs = {}
-    for path in files:
+    for path in _product_files():
         for name, line in _references(path):
             refs.setdefault(name, []).append((path, line))
     unused = []
@@ -59,6 +64,58 @@ def test_every_module_level_definition_is_used():
             if not outside:
                 unused.append(f"{path.name}:{node.name}")
     assert not unused, f"module-level definitions nothing uses: {unused}"
+
+
+# members kept only as an independent oracle of the tests; the comment at
+# each definition names the test that uses it
+TEST_ORACLE_MEMBERS = {
+    "witt.py:FieldElt.frobenius_inverse",
+    "witt.py:WittRing.elements",
+    "witt.py:GaloisRing.to_witt",
+}
+
+
+def _is_dataclass(cls):
+    return any(
+        (isinstance(d, ast.Name) and d.id == "dataclass")
+        or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass")
+        for d in cls.decorator_list
+    )
+
+
+def test_every_member_is_read():
+    # the module-level rule, one level down: every method and dataclass
+    # field of a class in the package is read as an attribute (`x.name`)
+    # by the package, a demo or the bench outside its own definition.
+    # Dunders are called by the language; matching is by name only, so a
+    # member sharing its name with one in use passes
+    reads = {}
+    for path in _product_files():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and _is_dataclass(cls):
+                    name = node.target.id
+                else:
+                    continue
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                outside = [
+                    (f, line)
+                    for f, line in reads.get(name, [])
+                    if f != path or not node.lineno <= line <= node.end_lineno
+                ]
+                if not outside:
+                    unread.append(f"{path.name}:{cls.name}.{name}")
+    assert sorted(unread) == sorted(TEST_ORACLE_MEMBERS), f"members nothing reads: {unread}"
 
 
 def test_only_the_tower_base_class_defines_proj():
