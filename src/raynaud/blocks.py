@@ -230,11 +230,17 @@ class BlockModule:
 
 
 _BLOCK_INSTANCES = {}
+_BLOCK_KEYS = {"UnitW": (), "ResidueK": (), "DAlphaP": (), "Domino": ("t",)}
+_BLOCK_KEYS.update(Dieudonne=("i", "j"), FiniteLength=("model", "slopes", "stabilization"))
 
 
 def make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     """Blocks are cached per (kind, params, p, r) so their towers share
-    level caches across the whole session (FiniteLength excepted)."""
+    level caches across the whole session (FiniteLength excepted).  A
+    parameter the kind does not read is refused (ValueError)."""
+    unread = sorted(set(params).difference(_BLOCK_KEYS.get(kind, params)))
+    if unread:
+        raise ValueError(f"{kind} does not read {', '.join(unread)}")
     if kind != "FiniteLength":
         key = (kind, tuple(sorted(params.items())), p, r)
         if key not in _BLOCK_INSTANCES:
@@ -260,15 +266,9 @@ def _make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
         return BlockModule(kind, {"i": i, "j": j}, p, r, tower, slopes, stabilization=i + j + 1)
     if kind == "FiniteLength":
         model = params["model"]
-        return BlockModule(
-            "FiniteLength",
-            {},
-            p,
-            r,
-            FiniteLengthTower(model, p, r),
-            slopes=params.get("slopes", {}),
-            stabilization=params.get("stabilization", max(3, model.n)),
-        )
+        stabilization = params.get("stabilization", max(3, model.n))
+        tower = FiniteLengthTower(model, p, r)
+        return BlockModule(kind, {}, p, r, tower, params.get("slopes", {}), stabilization)
     raise ValueError(f"unknown block kind {kind!r}")
 
 

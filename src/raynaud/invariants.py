@@ -40,14 +40,7 @@ from .linalg import (
     present_span,
     quotient_by,
 )
-from .rmod import (
-    Tower,
-    Unstable,
-    compose_F,
-    eventual_kernel,
-    fil_gens,
-    stable_pushdown,
-)
+from .rmod import Tower, Unstable, compose_F, eventual_kernel, fil_gens, stabilize, stable_pushdown
 from .blocks import BlockModule
 from .formal import FormalObject
 
@@ -131,22 +124,20 @@ def _f_infty_b(tower: Tower, i, m, n):
     """Generators of sum_s F^s im(d) pushed to level (m, n), accepted when
     the lengths at s - 1 and s agree for some 2 <= s <= n (else Unstable)."""
     R = ZMod(tower.p, m)
-    cols = []
-    prev_len = -1
-    piece = tower.level(m, n).piece(i)
-    for s in range(n + 1):
-        Lsrc = tower.level(m, n + s)
-        B = Lsrc.d(i - 1)
+    L = tower.level(m, n)
+    piece = L.piece(i)
+    cols = [R.reduce(L.d(i - 1))]  # the term s = 0: the chain s = 1..n never compares it
+
+    def partial_sum(s):
+        B = tower.level(m, n + s).d(i - 1)
         if B.shape[1]:
-            Fs = compose_F(tower, i, m, n + s, s)
-            cols.append(R.matmul(Fs, B))
-        G = np.concatenate(cols, axis=1) % R.q if cols else R.zeros(piece.ngens, 0)
+            cols.append(R.matmul(compose_F(tower, i, m, n + s, s), B))
+        G = np.concatenate(cols, axis=1) % R.q
         G = G[:, G.any(axis=0)] if G.size else G
-        sub, _ = present_span(G, piece.pres)
-        if sub.length() == prev_len and s >= 2:
-            return G
-        prev_len = sub.length()
-    raise Unstable(f"F^inf B at grading {i} did not stabilize with s <= {n}")
+        return G, present_span(G, piece.pres)[0].length()
+
+    what = f"F^inf B at grading {i} along s <= {n}"
+    return stabilize(partial_sum, lambda a, b: a[1] == b[1], n, what)[0][0]
 
 
 def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
@@ -187,17 +178,17 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
 
 
 def domino_number_tower(tower: Tower, i, cfg: InvariantConfig, r=1) -> int:
-    """T^i = dim_k M^i / (V^{-inf}Z^i + V M^i) for any tower, stabilized."""
-    m, n = cfg.m, cfg.n
-    dims = []
-    for k in (0, 1):
-        L = tower.level(m + k, n + k)
-        _, Zgens = _stable_v_infty_z(tower, i, m + k, n + k, cfg.steps)
-        Q = quotient_by(L.piece(i).pres, np.concatenate([Zgens, L.V(i)], axis=1))
-        dims.append(Q.kdim() // r)
-    if dims[0] != dims[1]:
-        raise Unstable(f"domino number at grading {i} did not stabilize")
-    return dims[0]
+    """T^i = dim_k M^i / (V^{-inf}Z^i + V M^i) for any tower, equal at
+    the levels (m, n) and (m + 1, n + 1)."""
+
+    def dim_at(k):
+        m, n = cfg.m + k - 1, cfg.n + k - 1
+        L = tower.level(m, n)
+        _, Zgens = _stable_v_infty_z(tower, i, m, n, cfg.steps)
+        return quotient_by(L.piece(i).pres, np.concatenate([Zgens, L.V(i)], axis=1)).kdim() // r
+
+    what = f"domino number at grading {i} along the level chain"
+    return stabilize(dim_at, lambda a, b: a == b, 2, what)[0]
 
 
 def domino_number(block: BlockModule, i, cfg=DEFAULT_CONFIG) -> int:
@@ -569,7 +560,8 @@ def _block_totalization(block: BlockModule, precision, cfg):
             )
             torsion = sorted(e for e in hi if 0 < e < precision + 1)
             if sorted(torsion + [precision] * free) != sorted(e for e in lo if e > 0):
-                raise Unstable("totalization did not stabilize in the precision direction")
+                pair = f"{precision} and {precision + 1}"
+                raise Unstable(f"totalization exponents disagree between precisions {pair}")
             exps = torsion + [precision] * free
             if exps:
                 out[g] = exps

@@ -16,11 +16,11 @@ line; the semilinear pair is vacuous at r = 1, and the tests check it on
 the r > 1 blocks.
 
 Kernels and cohomology at a single level carry truncation phantoms
-(e.g. ker(V) on W_m); every reported quantity is therefore the eventual
-image along level transitions (`stable_pushdown`), accepted once two
-consecutive pushdowns span the same submodule of the base piece; only
-the accepted span is presented (`Unstable` when the configured maximum
-is reached).
+(e.g. ker(V) on W_m), so every reported quantity is the eventual value
+of a chain.  `stabilize` is the one acceptance loop, along levels
+(`stable_pushdown`: equal spans in the base piece), F-bands (the
+derived star), s (F^s B) and k (the domino levels); it raises
+`Unstable` when the configured maximum is reached.
 
 `fil_gens` is the one builder of Fil^s: the truncation levels of a
 `ModelTower`, `standard_filtration`, the finite-length check and the
@@ -50,7 +50,12 @@ from .linalg import (
 
 
 class Unstable(RuntimeError):
-    """A reported invariant failed to stabilize at the configured depth."""
+    """A reported invariant failed to stabilize at the configured depth;
+    `stabilize` attaches `what`, the `steps` allowed and the `last` two values."""
+
+    def __init__(self, msg, what=None, steps=None, last=()):
+        super().__init__(msg)
+        self.what, self.steps, self.last = what, steps, last
 
 
 class LevelPiece:
@@ -407,35 +412,39 @@ class SumTower(Tower):
 # pro-corrected kernels and subquotient dimensions
 
 
-def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
-    """Eventual image of a level-indexed submodule at the base level.
-
-    `gens_at(k)` returns (gens, proj) for chain step k >= 1: generator
-    columns at level k and the composed projection matrix from that
-    level's piece down to the base piece.  Pushdowns shrink as k grows;
-    step k is accepted once its span equals step k - 1's in the base
-    piece.  Only the accepted span G is presented: the result is
-    (K, G) with K = `present_span(G, base_piece)[0]`.
-    """
-    R = base_piece.R
-    prev = None
+def stabilize(value_at, same, steps, what):
+    """The eventual value of a chain: (value_at(k), k) at the first
+    k <= steps with same(value_at(k - 1), value_at(k)), else `Unstable`.
+    `value_at` is called lazily, in order, never past the accepted k."""
+    last = ()
     for k in range(1, steps + 1):
+        value = value_at(k)
+        if last and same(last[-1], value):
+            return value, k
+        last = (*last[-1:], value)
+    raise Unstable(f"{what} did not stabilize within {steps} steps", what, steps, last)
+
+
+def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
+    """`stabilize` along the level chain: gens_at(k) = (gens, proj) are
+    generator columns at chain step k and the projection of their level
+    to the base piece, where step k - 1 and k must span the same
+    submodule.  Returns (K, G): the accepted span G, and K its
+    presentation `present_span(G, base_piece)[0]`."""
+
+    def pushed(k):
         gens, proj = gens_at(k)
-        G = R.matmul(proj, gens)
-        if prev is not None and _same_span(prev, G, base_piece):
-            K, _ = present_span(G, base_piece)
-            return K, G
-        prev = G
-    raise Unstable(f"{what} did not stabilize along the level chain")
+        return base_piece.R.matmul(proj, gens)
+
+    G, _ = stabilize(
+        pushed, lambda a, b: _same_span(a, b, base_piece), steps, f"{what} along the level chain"
+    )
+    return present_span(G, base_piece)[0], G
 
 
 def eventual_kernel(step, base_piece: Pres, steps=3, what="kernel"):
-    """Eventual image at the base level of the kernels along a level chain.
-
-    `step(k)` returns (A, src, dst, proj) for chain step k >= 1: the map
-    A : src -> dst at level k and the projection from src down to the
-    base piece.  The kernels are pushed down by `stable_pushdown`.
-    """
+    """`stable_pushdown` of the kernels of step(k) = (A, src, dst, proj):
+    the map A : src -> dst at chain step k and src's projection to the base."""
 
     def gens_at(k):
         A, src, dst, proj = step(k)

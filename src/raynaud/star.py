@@ -48,10 +48,10 @@ from .rmod import (
     ModelTower,
     SumTower,
     Tower,
-    Unstable,
     _same_span,
     condense_level,
     mat_pow_mod,
+    stabilize,
     stable_pushdown,
     sub_level,
 )
@@ -184,6 +184,12 @@ def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule) -> Tower:
 # the generic presentation
 
 
+def _add_label(model, key, g):
+    """Append key to grading g of a model's labels and index it."""
+    model.index[key] = (g, len(model.labels.setdefault(g, [])))
+    model.labels[g].append(key)
+
+
 class StarModel:
     """The presented model of M * N at depth S, with symbol bookkeeping.
 
@@ -214,9 +220,9 @@ class StarModel:
                 for a in range(LM.piece(gm).ngens):
                     for b in range(LN.piece(gn).ngens):
                         for s in range(S):
-                            self._add(("g", s, gm, a, gn, b), gm + gn)
+                            _add_label(self, ("g", s, gm, a, gn, b), gm + gn)
                         for s in range(1, S):
-                            self._add(("h", s, gm, a, gn, b), gm + gn + 1)
+                            _add_label(self, ("h", s, gm, a, gn, b), gm + gn + 1)
         self.sizes = {g: len(v) for g, v in self.labels.items()}
 
         rel_cols = {g: [] for g in self.labels}
@@ -232,10 +238,6 @@ class StarModel:
             rels[pos, c] = val
             pieces[g] = LevelPiece(labs, Pres(R, len(labs), rels))
         self.model = Level(R, S, pieces, *self._ops(), r=1)
-
-    def _add(self, key, g):
-        self.index[key] = (g, len(self.labels.setdefault(g, [])))
-        self.labels[g].append(key)
 
     def _coeffs(self, *terms):
         """A sum of terms as a {position: value} dict of its nonzero
@@ -383,16 +385,12 @@ class BandModel:
         for g in Mb.tower.gradings():
             for idx in range(self.L.piece(g).ngens):
                 for a in range(1, n_v):
-                    self._add(("V", a, g, idx), g)
-                    self._add(("dV", a, g, idx), g + 1)
+                    _add_label(self, ("V", a, g, idx), g)
+                    _add_label(self, ("dV", a, g, idx), g + 1)
                 for t in range(f_depth):
-                    self._add(("Phi", t, g, idx), g)
-                    self._add(("Phid", t, g, idx), g + 1)
+                    _add_label(self, ("Phi", t, g, idx), g)
+                    _add_label(self, ("Phid", t, g, idx), g + 1)
         self.sizes = {g: len(v) for g, v in self.labels.items()}
-
-    def _add(self, key, g):
-        self.index[key] = (g, len(self.labels.setdefault(g, [])))
-        self.labels[g].append(key)
 
     @functools.cached_property
     def level(self) -> Level:
@@ -542,6 +540,8 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     band inclusions and cokernels are the images of the transition maps
     (which is what kills the top-of-band classes); the V- and precision
     directions are limits, handled by eventual images down the levels.
+    The kernel bands are accepted on equal spans; the cokernel bands
+    only on equal fingerprints (per-grading `min_exps`), not submodules.
     Returns {"H-1": ..., "H0": ...} with raw presentations, and for each
     the identification that is always attempted: "identified" (a block
     name, "0" or None), "offset" (its depth offset) and "status"
@@ -561,18 +561,18 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     def chain_at(k):
         """The kernels {g: K} of alpha at chain step k, stabilized in the
         F-band direction, with their band model."""
-        prev = None
-        for f in range(f0, f0 + 6):
-            src = BandModel(Nb, mv + k, nv + k, f)
+
+        def kernels(b):
+            src = BandModel(Nb, mv + k, nv + k, f0 + b - 1)
             dst, mats = band_alpha((i, j), src)
             K = {
                 g: kernel_into(mats[g], src.level.piece(g).pres, dst.level.piece(g).pres)
                 for g in sorted(src.sizes)
             }
-            if prev is not None and _bands_agree(*prev, K, src):
-                return K, src
-            prev = (K, src)
-        raise Unstable("derived star kernel did not stabilize in the F-band direction")
+            return K, src
+
+        what = "derived star kernel in the F-band direction"
+        return stabilize(kernels, lambda a, b: _bands_agree(*a, *b), 6, what)[0]
 
     K0, src0 = chain_at(0)
     stable_k = {}
@@ -591,31 +591,24 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     # step exceeds the band shifts so top-of-band classes can die, plus a
     # 2m margin so the induced operators on the image remain expressible
     # (classes like F^t d * x descend p-adically two indices per p-power)
-    prev = hzero = None
     step = i + j + 2 * mv + 2
-    for fc in range(f0, f0 + 8):
-        srcB = BandModel(Nb, mv, nv, fc + step)
-        dstA = BandModel(Nb, mv, nv, fc + i)
+
+    def images(b):
+        srcB = BandModel(Nb, mv, nv, f0 + b - 1 + step)
+        dstA = BandModel(Nb, mv, nv, f0 + b - 1 + i)
         dstB, matsB = band_alpha((i, j), srcB)
         # one presentation per grading gives both the stats and the model
         quots = {g: quotient_by(dstB.level.piece(g).pres, matsB[g]) for g in sorted(dstA.sizes)}
         subs = {g: minimal_gens(_band_select(dstA, dstB, g), amb) for g, amb in quots.items()}
-        stats = {g: pres.min_exps() for g, (_, pres) in subs.items()}
-        if prev == stats:
-            hzero = dstB.submodel(subs, quots)
-            break
-        prev = stats
-    if hzero is None:
-        raise Unstable("derived star cokernel did not stabilize in the F-band direction")
+        return {g: pres.min_exps() for g, (_, pres) in subs.items()}, dstB, subs, quots
 
-    cands = [
-        ("U_-1", make_block("Domino", p, t=-1).tower),
-        ("U_0", make_block("Domino", p, t=0).tower),
-        ("U_1", make_block("Domino", p, t=1).tower),
-        ("U_2", make_block("Domino", p, t=2).tower),
-        ("W", make_block("UnitW", p).tower),
-        ("E", Eb.tower),
-    ]
+    # fingerprints only: equal per-grading min_exps, not equal submodules
+    what = "derived star cokernel in the F-band direction"
+    (_, dstB, subs, quots), _ = stabilize(images, lambda a, b: a[0] == b[0], 8, what)
+    hzero = dstB.submodel(subs, quots)
+
+    cands = [(f"U_{t}", make_block("Domino", p, t=t).tower) for t in (-1, 0, 1, 2)]
+    cands += [("W", make_block("UnitW", p).tower), ("E", Eb.tower)]
     result = {}
     for which, tower in (("H-1", hminus), ("H0", hzero)):
         entry = result[which] = {"model": tower, "exps": _model_exps(tower)}

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from raynaud import blocks
 from raynaud.cli import main
 
 U0_SPEC = '{"p": 2, "r": 1, "object": [{"block": {"kind": "Domino", "t": 0}, "shift": [0, 0]}]}'
@@ -115,6 +116,19 @@ def test_invariants_at_p_7_multiply_past_the_int64_bound_exactly(specs, capsys, 
 def test_invariants_param_mismatch(specs, capsys):
     code, out, err = run_cli(["invariants", specs["u0"], "--p", "3"], capsys)
     assert code == 2
+
+
+def test_unread_block_key_exits_2_and_caches_no_block(tmp_path, capsys):
+    spec = tmp_path / "typo.json"
+    spec.write_text('{"p": 2, "object": [{"block": {"kind": "UnitW", "t": 5, "typo": 1}}]}')
+    cached = len(blocks._BLOCK_INSTANCES)
+    code, out, err = run_cli(["invariants", str(spec)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["spec error: bad block 'UnitW': UnitW does not read t, typo"]
+    assert len(blocks._BLOCK_INSTANCES) == cached
+    # FiniteLength reads model, slopes and stabilization only
+    with pytest.raises(ValueError, match="FiniteLength does not read dominoes"):
+        blocks.make_block("FiniteLength", 2, model=None, dominoes={})
 
 
 def test_star_unit(specs, capsys):

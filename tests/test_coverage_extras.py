@@ -28,7 +28,7 @@ def finite_length_block(p=2):
     F = np.array([[0, 0], [1, 0]], dtype=np.int64)
     pieces = {0: LevelPiece([("x", 0), ("x", 1)], Pres(R, 2, (p * R.eye(2)) % R.q))}
     model = Level(R, 2, pieces, {0: R.zeros(2, 2)}, {}, {0: F}, r=1)
-    return make_block("FiniteLength", p, model=model, slopes={}, dominoes={})
+    return make_block("FiniteLength", p, model=model, slopes={})
 
 
 def test_finite_length_block_relations_and_invariants():
@@ -55,7 +55,7 @@ def test_projection_refuses_repeated_labels():
     F = np.array([[0, 0], [1, 0]], dtype=np.int64)
     pieces = {0: LevelPiece([("x", 0), ("x", 0)], Pres(R, 2, (2 * R.eye(2)) % R.q))}
     model = Level(R, 2, pieces, {0: R.zeros(2, 2)}, {}, {0: F}, r=1)
-    tower = make_block("FiniteLength", 2, model=model, slopes={}, dominoes={}).tower
+    tower = make_block("FiniteLength", 2, model=model, slopes={}).tower
     with pytest.raises(ValueError, match="repeats a generator label"):
         tower.proj(0, (2, 4), (2, 3))
 

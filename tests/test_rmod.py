@@ -17,6 +17,7 @@ from raynaud.rmod import (
     _same_span,
     check_relations,
     eventual_kernel,
+    stabilize,
     stable_pushdown,
     standard_filtration,
 )
@@ -249,6 +250,36 @@ def test_formal_object_parse_errors():
         FormalObject.from_json(
             '{"p": 2, "r": 1, "object": [{"block": {"kind": "Dieudonne", "i": 2, "j": 2}}]}'
         )
+
+
+def test_stabilize_returns_the_first_agreeing_value_and_its_step():
+    calls = []
+
+    def value_at(k):
+        calls.append(k)
+        return min(k, 3)  # 1, 2, 3, 3, ...: steps 3 and 4 agree first
+
+    assert stabilize(value_at, lambda a, b: a == b, 6, "probe") == (3, 4)
+    assert calls == [1, 2, 3, 4]  # nothing is computed past the accepted step
+
+
+def test_stabilize_with_one_step_raises_without_comparing():
+    def same(a, b):
+        raise AssertionError("one value has nothing to be compared with")
+
+    with pytest.raises(Unstable) as info:
+        stabilize(lambda k: 10 * k, same, 1, "probe")
+    assert info.value.steps == 1 and info.value.last == (10,)
+
+
+def test_unstable_from_stabilize_carries_what_steps_and_the_last_two_values():
+    with pytest.raises(Unstable, match="probe values did not stabilize within 4 steps") as info:
+        stabilize(lambda k: 2**k, lambda a, b: a == b, 4, "probe values")
+    exc = info.value
+    assert (exc.what, exc.steps, exc.last) == ("probe values", 4, (8, 16))
+    # an identity check raises it with a message only
+    plain = Unstable("operator does not vanish")
+    assert str(plain) == "operator does not vanish" and plain.what is None and plain.last == ()
 
 
 def test_stable_pushdown_returns_once_two_consecutive_spans_agree():

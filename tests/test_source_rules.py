@@ -221,3 +221,10 @@ def test_module_level_caches_are_the_ones_the_bench_checks():
             if _is_empty_container(value):
                 found += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)]
     assert sorted(found) == ["blocks._BLOCK_INSTANCES", "invariants._BLOCK_CACHE"], found
+
+
+def test_only_rmod_decides_that_a_chain_did_not_stabilize():
+    # `rmod.stabilize` is the one acceptance loop of every stabilized
+    # quantity; the other `Unstable` raises are failed identity checks
+    found = [path.name for path in sorted(SRC.glob("*.py")) if "did not stabilize" in path.read_text()]
+    assert found == ["rmod.py"], found

@@ -8,7 +8,7 @@ from raynaud.blocks import make_block, truncate
 from raynaud.homs import find_isomorphism
 from raynaud import linalg
 from raynaud.linalg import Pres, minimal_gens, quotient_by
-from raynaud.rmod import ModelTower, check_relations, condense_level, sub_level
+from raynaud.rmod import ModelTower, Unstable, check_relations, condense_level, sub_level
 from raynaud.star import (
     ClosedFormInapplicable,
     StarModel,
@@ -307,6 +307,17 @@ def test_derived_star_records_an_exhausted_search(monkeypatch):
 def test_derived_star_requires_height_block():
     with pytest.raises(ValueError):
         derived_star(make_block("UnitW", P), make_block("DAlphaP", P), 2, 6)
+
+
+def test_derived_star_with_a_domino_second_factor_is_a_known_limit():
+    # the F-band kernel loop does not settle on U_0: over the bands
+    # f0..f0+5 its kernel gains one class per band in gradings 1 and 2
+    e = make_block("Dieudonne", P, i=1, j=1)
+    with pytest.raises(Unstable) as info:
+        derived_star(e, make_block("Domino", P, t=0), 2, 6)
+    assert info.value.what == "derived star kernel in the F-band direction"
+    assert info.value.steps == 6
+    assert [band.f_depth for _, band in info.value.last] == [8, 9]
 
 
 def test_derived_star_unidentified_returns_raw():
