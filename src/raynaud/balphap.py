@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Pres, Span, blockdiag, kernel_into, present_span, quotient_by
+from .linalg import Pres, blockdiag, kernel_into, present_span, quotient_by
 from .rmod import Unstable, eventual_kernel
 from .blocks import make_block, truncate
 from .formal import FormalObject, Summand
@@ -85,7 +85,7 @@ def row0_cells(cfg: PipelineConfig):
         A_out = (np.eye(size, dtype=np.int64) if dout_id else amb.R.zeros(size, size))
         ker = kernel_into(A_out, amb, amb)
         bot = np.eye(size, dtype=np.int64) if din_id else amb.R.zeros(size, size)
-        S, _ = present_span(ker, quotient_by(amb, bot))
+        S = present_span(ker, quotient_by(amb, bot))
         out[i] = S.min_exps()
     if out[0] != [min(m, n)]:
         raise Unstable(f"E2^{{0,0}} should be W at the working precision, got {out[0]}")
@@ -166,7 +166,7 @@ def e2_rows01(cfg: PipelineConfig):
         cell, Kgens = eventual_kernel(step, src, steps=4, what=f"E2^{{{c},1}}")
         if c:
             d_in = row1_map(p, c, m, n)[0]
-            cell, _ = present_span(Kgens, quotient_by(src, d_in))
+            cell = present_span(Kgens, quotient_by(src, d_in))
         if cell.min_exps() != expected[c]:
             raise Unstable(f"E2^{{{c},1}} should be {expected[c]}, got {cell.min_exps()}")
         if c == 1:
@@ -186,12 +186,10 @@ def _check_cell_ops_vanish(E, Ktop, Kbot, m, n):
     L = truncate(E, m, n)
     R = L.R
     src = Pres.direct_sum(R, [L.piece(0).pres] * 2)
-    sp = Span(np.concatenate([Kbot, src.rels, R.p * R.eye(src.ngens)], axis=1) % R.q, R)
+    cell = quotient_by(src, np.concatenate([Kbot, R.p * R.eye(src.ngens)], axis=1))
     for name, mat in (("F", L.F_lift(0)), ("V", L.V(0))):
-        img = R.matmul(blockdiag(R, [mat, mat]), Ktop)
-        for c in range(img.shape[1]):
-            if not sp.contains(img[:, c]):
-                raise Unstable(f"operator {name} does not vanish on E2^{{1,1}}")
+        if not cell.element_is_zero(R.matmul(blockdiag(R, [mat, mat]), Ktop)):
+            raise Unstable(f"operator {name} does not vanish on E2^{{1,1}}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +272,7 @@ def _row2_presentation_check(cfg: PipelineConfig):
             continue
         amb = Lbig.piece(g).pres
         K = kernel_into(A, amb, amb)
-        Kp, _ = present_span(K, amb)
+        Kp = present_span(K, amb)
         Q = quotient_by(amb, A)
         results[g] = {"ker": Kp.min_exps(), "coker": Q.min_exps()}
     # dimension fingerprints against the expected dominoes: the kernel is

@@ -193,7 +193,7 @@ class FiniteLengthTower(Tower):
         super().__init__(p, r)
         fil = fil_gens(model, model.n)
         for i in model.gradings():
-            if not model.piece(i).pres.rel_span().contains_all(fil[i]):
+            if not model.piece(i).pres.element_is_zero(fil[i]):
                 raise ValueError("FiniteLength model must satisfy Fil^depth = 0")
         self._inner = ModelTower(model, p, r=r, depth_margin=0)
         self.depth = model.n
@@ -237,10 +237,17 @@ _BLOCK_KEYS.update(Dieudonne=("i", "j"), FiniteLength=("model", "slopes", "stabi
 def make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     """Blocks are cached per (kind, params, p, r) so their towers share
     level caches across the whole session (FiniteLength excepted).  A
-    parameter the kind does not read is refused (ValueError)."""
+    parameter the kind does not read, a non-integer (or bool) t, i or j,
+    and a FiniteLength model that is not a Level are refused (ValueError)."""
     unread = sorted(set(params).difference(_BLOCK_KEYS.get(kind, params)))
     if unread:
         raise ValueError(f"{kind} does not read {', '.join(unread)}")
+    for key in ("t", "i", "j"):
+        value = params.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    if kind == "FiniteLength" and not isinstance(params.get("model"), Level):
+        raise ValueError("model must be a Level")
     if kind != "FiniteLength":
         key = (kind, tuple(sorted(params.items())), p, r)
         if key not in _BLOCK_INSTANCES:

@@ -106,7 +106,7 @@ def _load_object(path, args):
     if args.r is not None and obj.r != args.r:
         raise SpecError(f"--r {args.r} does not match the spec file (r = {obj.r})")
     _check_prime(obj.p)
-    if obj.r > 4:
+    if not 1 <= obj.r <= 4:
         raise SpecError("r is limited to 1..4")
     return obj
 

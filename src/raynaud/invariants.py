@@ -134,7 +134,7 @@ def _f_infty_b(tower: Tower, i, m, n):
             cols.append(R.matmul(compose_F(tower, i, m, n + s, s), B))
         G = np.concatenate(cols, axis=1) % R.q
         G = G[:, G.any(axis=0)] if G.size else G
-        return G, present_span(G, piece.pres)[0].length()
+        return G, present_span(G, piece.pres).length()
 
     what = f"F^inf B at grading {i} along s <= {n}"
     return stabilize(partial_sum, lambda a, b: a[1] == b[1], n, what)[0][0]
@@ -155,7 +155,7 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         base = tower.level(m, n).piece(i).pres
         _, Zgens = _stable_v_infty_z(tower, i, m, n, cfg2.steps)
         B = _f_infty_b(tower, i, m, n)
-        S, reps = present_span(Zgens, quotient_by(base, B))
+        S = present_span(Zgens, quotient_by(base, B))
         exps = S.min_exps()
         # induced Frobenius on the heart generators, one level down
         lo = tower.level(m, n - 1)
@@ -339,7 +339,7 @@ def _rn_cohomology_at(tower: Tower, g, m, n, steps):
 
     amb1 = pair_pres(m, n)
     K1, K1gens = eventual_kernel(step_v, amb1, steps=steps, what="ker v_N")
-    H1, _ = present_span(K1gens, quotient_by(amb1, uN(m, n)))
+    H1 = present_span(K1gens, quotient_by(amb1, uN(m, n)))
     out[-1] = H1.min_exps()
 
     # H^-2: stabilized kernel of u_N inside M(-1) at level (m, n + 1)
@@ -350,7 +350,7 @@ def _rn_cohomology_at(tower: Tower, g, m, n, steps):
 
     amb2 = tower.level(m, n + 1).piece(g - 1).pres
     K2, K2gens = eventual_kernel(step_u, amb2, steps=steps, what="ker u_N")
-    H2, _ = present_span(K2gens, amb2)
+    H2 = present_span(K2gens, amb2)
     out[-2] = H2.min_exps()
     return out
 
@@ -550,7 +550,7 @@ def _block_totalization(block: BlockModule, precision, cfg):
                     return Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres, P
 
                 K, Kgens = eventual_kernel(step, base, steps=cfg2.steps, what="ker d")
-                H, _ = present_span(Kgens, quotient_by(base, L.d(g - 1)))
+                H = present_span(Kgens, quotient_by(base, L.d(g - 1)))
                 exps_pair.append(H.min_exps())
             lo, hi = exps_pair
             # free = exponents that keep growing with the precision

@@ -6,8 +6,9 @@ kernels of matrices between modules with prescribed coordinate
 annihilators, membership tests, presentations of spans and quotients,
 and a division-free characteristic polynomial.  `smith_normal_form` is
 the only elimination: inverses (`invert_unimodular`), kernels
-(`kernel_gens`) and solves (`LinearSolver`, `Span`) all read its
-transforms.
+(`kernel_gens`), solves (`LinearSolver`) and membership
+(`Pres.element_is_zero`, on the presentation's cached normal form) all
+read its transforms.
 
 This module is the one builder of presentations: `Pres.direct_sum`
 (over `blockdiag`) is the only direct sum of presented modules, and
@@ -308,53 +309,31 @@ def kernel_gens(A, R: ZMod, src_exps=None, rows=None) -> np.ndarray:
     return G[:, G.any(axis=0)]
 
 
-class Span:
-    """Cached membership tests for the span of a set of columns.
-
-    One Smith normal form serves any number of membership queries, so
-    comparing generating sets is linear in the number of generators.
-    """
-
-    def __init__(self, G, R: ZMod):
-        self.R = R
-        self.shape = np.shape(G)
-        self.U, _, self.exps = smith_normal_form(G, R, right=False)
-
-    def _diagonal_quotient(self, X):
-        """Y with diag(p^exps) Y = U X, or None when some column of X (or
-        the vector X) is not in the span (a diagonal entry 0 in Z/p^m, or
-        a row past the diagonal, needs 0)."""
-        R = self.R
-        pe = np.full(self.shape[0], R.q, dtype=np.int64)
-        r = len(self.exps)
-        pe[:r] = [R.p**e if e < R.m else R.q for e in self.exps]
-        c = R.matmul(self.U, X)
-        pe = pe.reshape((-1,) + (1,) * (c.ndim - 1))
-        if (c % pe).any():
-            return None
-        return c[:r] // pe[:r]
-
-    def contains(self, x) -> bool:
-        return self._diagonal_quotient(np.reshape(x, -1)) is not None
-
-    def contains_all(self, H) -> bool:
-        return self._diagonal_quotient(H) is not None
+def _diagonal_quotient(U, exps, X, R: ZMod):
+    """Y with diag(p^exps) Y = U X, or None when there is none.  X is a
+    vector or a matrix of columns; exps is padded with R.m to U's height,
+    and an exponent R.m (the diagonal entry 0 in Z/p^m) needs 0."""
+    pe = np.full(U.shape[0], R.q, dtype=np.int64)
+    pe[: len(exps)] = [R.p ** min(e, R.m) for e in exps]
+    c = R.matmul(U, X)
+    pe = pe.reshape((-1,) + (1,) * (c.ndim - 1))
+    if (c % pe).any():
+        return None
+    return c[: len(exps)] // pe[: len(exps)]
 
 
-class LinearSolver(Span):
-    """Cached Smith transforms for solving A x = b repeatedly: the span
-    of A's columns, with the column transform V kept as well."""
+class LinearSolver:
+    """Cached Smith transforms for solving A x = b repeatedly."""
 
     def __init__(self, A, R: ZMod):
         self.R = R
-        self.shape = np.shape(A)
         self.U, self.V, self.exps = smith_normal_form(A, R)
 
     def solve(self, b):
         """x with A x = b, or None when b is not in the image.  For a
         matrix b, x solves every column at once (None if any column is
         outside the image)."""
-        y = self._diagonal_quotient(b)
+        y = _diagonal_quotient(self.U, self.exps, b, self.R)
         if y is None:
             return None
         return self.R.matmul(self.V[:, : len(y)], y)
@@ -371,7 +350,7 @@ class Pres:
     p^m * (every generator) is always part of the relations.
     """
 
-    __slots__ = ("R", "ngens", "rels", "_nf", "_span")
+    __slots__ = ("R", "ngens", "rels", "_nf")
 
     def __init__(self, R: ZMod, ngens: int, rels=None):
         self.R = R
@@ -391,7 +370,6 @@ class Pres:
             rels = rels.copy()  # `reduce` may have returned the caller's array
         self.rels = rels
         self._nf = None
-        self._span = None
 
     @classmethod
     def direct_sum(cls, R: ZMod, pieces):
@@ -442,13 +420,11 @@ class Pres:
         _, _, exps = smith_normal_form(self.rels, ZMod(self.R.p, 1), left=False, right=False)
         return len(exps) == self.ngens and all(e == 0 for e in exps)
 
-    def rel_span(self) -> "Span":
-        if self._span is None:
-            self._span = Span(self.rels, self.R)
-        return self._span
-
-    def element_is_zero(self, x) -> bool:
-        return self.rel_span().contains(x)
+    def element_is_zero(self, X) -> bool:
+        """Whether the vector X, or every column of the matrix X, is zero
+        in the module: the one membership test, read off the normal form."""
+        exps, U = self.normal_form()
+        return _diagonal_quotient(U, exps, X, self.R) is not None
 
     def __repr__(self):
         return f"Pres({self.R!r}, exps={self.min_exps()})"
@@ -469,17 +445,12 @@ def kernel_into(A, src: Pres, dst: Pres) -> np.ndarray:
     return G if G.size else R.zeros(src.ngens, 0)
 
 
-def present_span(G, amb: Pres):
-    """Present the submodule spanned by the columns of G inside amb.
-
-    Returns (K, incl) where K is a Pres on G's columns as generators and
-    incl is the ngens_amb x ngens_K matrix of their coordinates.
-    """
+def present_span(G, amb: Pres) -> Pres:
+    """The submodule spanned by the columns of G inside amb, presented
+    on G's columns as generators."""
     R = amb.R
-    G = R.reduce(G)
     t = G.shape[1]
-    K_rels = kernel_into(G, Pres(R, t), amb)
-    return Pres(R, t, K_rels), G.copy()
+    return Pres(R, t, kernel_into(R.reduce(G), Pres(R, t), amb))
 
 
 def normal_basis(pres: Pres):
@@ -510,7 +481,7 @@ def minimal_gens(G, amb: Pres, K=None):
     presentation's `normal_basis`.  Returns (gens, pres): gens in amb's
     coordinates, and pres on them, where the kept generator with
     annihilator exponent e has the single relation p^e.  K, when given,
-    is `present_span(G, amb)[0]` (as `stable_pushdown` returns it) and
+    is `present_span(G, amb)` (as `stable_pushdown` returns it) and
     is not computed again.
     """
     R = amb.R
@@ -518,7 +489,7 @@ def minimal_gens(G, amb: Pres, K=None):
     if G.shape[1] == 0:
         return G, Pres(R, 0)
     if K is None:
-        K, _ = present_span(G, amb)
+        K = present_span(G, amb)
     gens, _, pres = normal_basis(K)
     return R.matmul(G, gens), pres
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    Span,
     Pres,
     ZMod,
     blockdiag,
@@ -46,6 +45,7 @@ from .linalg import (
     kernel_into,
     normal_basis,
     present_span,
+    quotient_by,
 )
 
 
@@ -205,8 +205,7 @@ def standard_filtration(level: Level, s: int):
     out = {}
     for i in level.gradings():
         G = fil[i][:, fil[i].any(axis=0)]
-        sub, _ = present_span(G, level.piece(i).pres)
-        out[i] = {"gens": G, "length": sub.length()}
+        out[i] = {"gens": G, "length": present_span(G, level.piece(i).pres).length()}
     return out
 
 
@@ -430,7 +429,7 @@ def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
     generator columns at chain step k and the projection of their level
     to the base piece, where step k - 1 and k must span the same
     submodule.  Returns (K, G): the accepted span G, and K its
-    presentation `present_span(G, base_piece)[0]`."""
+    presentation `present_span(G, base_piece)`."""
 
     def pushed(k):
         gens, proj = gens_at(k)
@@ -439,7 +438,7 @@ def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
     G, _ = stabilize(
         pushed, lambda a, b: _same_span(a, b, base_piece), steps, f"{what} along the level chain"
     )
-    return present_span(G, base_piece)[0], G
+    return present_span(G, base_piece), G
 
 
 def eventual_kernel(step, base_piece: Pres, steps=3, what="kernel"):
@@ -457,6 +456,4 @@ def _same_span(G1, G2, amb: Pres):
     R = amb.R
     if np.array_equal(G1 % R.q, G2 % R.q):
         return True
-    big1 = np.concatenate([G1, amb.rels], axis=1) % R.q
-    big2 = np.concatenate([G2, amb.rels], axis=1) % R.q
-    return Span(big1, R).contains_all(G2) and Span(big2, R).contains_all(G1)
+    return quotient_by(amb, G1).element_is_zero(G2) and quotient_by(amb, G2).element_is_zero(G1)

@@ -234,5 +234,5 @@ def test_page_algebra_deep_columns_and_vanishing():
             return K, P
 
         Kst, Kgens = stable_pushdown(ker_at, src, steps=4, what=f"row-1 column {col}")
-        S, _ = present_span(Kgens, quotient_by(src, maps[col]))
+        S = present_span(Kgens, quotient_by(src, maps[col]))
         assert S.min_exps() == [], f"E2^{{{col},1}} should vanish"

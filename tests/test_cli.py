@@ -131,6 +131,29 @@ def test_unread_block_key_exits_2_and_caches_no_block(tmp_path, capsys):
         blocks.make_block("FiniteLength", 2, model=None, dominoes={})
 
 
+@pytest.mark.parametrize(
+    "r, block, why",
+    [
+        (1, {"kind": "Domino", "t": "x"}, "t must be an integer, got 'x'"),
+        (1, {"kind": "Domino", "t": 1.5}, "t must be an integer, got 1.5"),
+        (1, {"kind": "Domino", "t": True}, "t must be an integer, got True"),
+        (1, {"kind": "Dieudonne", "i": 1, "j": 1.0}, "j must be an integer, got 1.0"),
+        (1, {"kind": "FiniteLength", "model": {}}, "model must be a Level"),
+        (0, {"kind": "UnitW"}, "r is limited to 1..4"),
+        (-1, {"kind": "UnitW"}, "r is limited to 1..4"),
+    ],
+)
+def test_malformed_block_spec_exits_2_with_one_line(r, block, why, tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps({"p": 2, "r": r, "object": [{"block": block}]}))
+    cached = len(blocks._BLOCK_INSTANCES)
+    code, out, err = run_cli(["invariants", str(spec)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.rstrip().endswith(why)
+    if r == 1:
+        assert len(blocks._BLOCK_INSTANCES) == cached
+
+
 def test_star_unit(specs, capsys):
     code, out, err = run_cli(
         ["star", specs["w"], specs["u0"], "--precision", "2", "--vdepth", "5"], capsys

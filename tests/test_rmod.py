@@ -380,7 +380,7 @@ def _pushdown_by_both_tests(gens_at, base_piece, steps):
     for k in range(1, steps + 1):
         gens, proj = gens_at(k)
         G = R.matmul(proj, gens)
-        K, _ = present_span(G, base_piece)
+        K = present_span(G, base_piece)
         if prev is not None:
             Kp, Gp = prev
             if Kp.min_exps() == K.min_exps() and _same_span(Gp, G, base_piece):

@@ -228,3 +228,17 @@ def test_only_rmod_decides_that_a_chain_did_not_stabilize():
     # quantity; the other `Unstable` raises are failed identity checks
     found = [path.name for path in sorted(SRC.glob("*.py")) if "did not stabilize" in path.read_text()]
     assert found == ["rmod.py"], found
+
+
+def test_only_linalg_calls_smith_normal_form():
+    # one factorization per relation lattice: membership is read off a
+    # `Pres`'s cached normal form, solves off `LinearSolver`, so no other
+    # module runs an elimination of its own
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("linalg.py", "__init__.py")
+        for name, line in _references(path)
+        if name == "smith_normal_form"
+    ]
+    assert not found, f"smith_normal_form referenced outside linalg: {found}"
