@@ -234,6 +234,13 @@ _BLOCK_KEYS = {"UnitW": (), "ResidueK": (), "DAlphaP": (), "Domino": ("t",)}
 _BLOCK_KEYS.update(Dieudonne=("i", "j"), FiniteLength=("model", "slopes", "stabilization"))
 
 
+def require_int(name, value) -> int:
+    """value if it is an int; a bool, float or str is refused (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     """Blocks are cached per (kind, params, p, r) so their towers share
     level caches across the whole session (FiniteLength excepted).  A
@@ -243,9 +250,7 @@ def make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     if unread:
         raise ValueError(f"{kind} does not read {', '.join(unread)}")
     for key in ("t", "i", "j"):
-        value = params.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
+        require_int(key, params.get(key, 0))
     if kind == "FiniteLength" and not isinstance(params.get("model"), Level):
         raise ValueError("model must be a Level")
     if kind != "FiniteLength":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blocks import BlockModule, make_block
+from .blocks import BlockModule, make_block, require_int
 
 
 class SpecError(ValueError):
@@ -81,8 +81,8 @@ class FormalObject:
         if not isinstance(data, dict):
             raise SpecError("object spec must be a JSON object")
         try:
-            p = int(data["p"])
-            r = int(data.get("r", 1))
+            p = require_int("p", data["p"])
+            r = require_int("r", data.get("r", 1))
             items = data["object"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"missing or malformed field: {exc}") from exc
@@ -93,7 +93,7 @@ class FormalObject:
             try:
                 bdesc = dict(item["block"])
                 kind = bdesc.pop("kind")
-                i, j = (int(x) for x in item.get("shift", [0, 0]))
+                i, j = (require_int("shift", x) for x in item.get("shift", [0, 0]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpecError(f"malformed summand: {exc}") from exc
             try:

@@ -331,10 +331,4 @@ def cone_or_extension(p, lam, m, n):
     # the map is injective on k (pro-stably), so the cone is the cokernel
     u0 = make_block("Domino", p, t=0)
     ident = identify_block(cone, [("U_0", u0.tower)], min(m, 3), min(n, 6))
-    return {
-        "kind": "U_0",
-        "lam": lam,
-        "cone_tower": cone,
-        "identification": ident,
-        "block": u0 if ident else None,
-    }
+    return {"kind": "U_0", "cone_tower": cone, "identification": ident}

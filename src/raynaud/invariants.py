@@ -111,7 +111,8 @@ def _v_infty_z(tower: Tower, i, m, n):
 
 
 def _stable_v_infty_z(tower: Tower, i, m, n, steps):
-    """V^-inf Z at grading i, pushed down to level (m, n) until it is stable."""
+    """V^-inf Z at grading i, pushed down to level (m, n) until it is
+    stable: its generator columns in the level's grading-i coordinates."""
     return stable_pushdown(
         lambda k: (_v_infty_z(tower, i, m + k, n + k), tower.proj(i, (m + k, n + k), (m, n))),
         tower.level(m, n).piece(i).pres,
@@ -137,7 +138,7 @@ def _f_infty_b(tower: Tower, i, m, n):
         return G, present_span(G, piece.pres).length()
 
     what = f"F^inf B at grading {i} along s <= {n}"
-    return stabilize(partial_sum, lambda a, b: a[1] == b[1], n, what)[0][0]
+    return stabilize(partial_sum, lambda a, b: a[1] == b[1], n, what)[0]
 
 
 def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
@@ -153,7 +154,7 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         tower = block.tower
         m, n = cfg2.m, cfg2.n
         base = tower.level(m, n).piece(i).pres
-        _, Zgens = _stable_v_infty_z(tower, i, m, n, cfg2.steps)
+        Zgens = _stable_v_infty_z(tower, i, m, n, cfg2.steps)
         B = _f_infty_b(tower, i, m, n)
         S = present_span(Zgens, quotient_by(base, B))
         exps = S.min_exps()
@@ -171,7 +172,6 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
             "gens": Zgens,
             "frobenius": Fmat,
             "free_rank": sum(1 for e in exps if e >= m),
-            "precision": m,
         }
 
     return _cached(block, cfg, ("coeur", i), compute)
@@ -184,11 +184,11 @@ def domino_number_tower(tower: Tower, i, cfg: InvariantConfig, r=1) -> int:
     def dim_at(k):
         m, n = cfg.m + k - 1, cfg.n + k - 1
         L = tower.level(m, n)
-        _, Zgens = _stable_v_infty_z(tower, i, m, n, cfg.steps)
+        Zgens = _stable_v_infty_z(tower, i, m, n, cfg.steps)
         return quotient_by(L.piece(i).pres, np.concatenate([Zgens, L.V(i)], axis=1)).kdim() // r
 
     what = f"domino number at grading {i} along the level chain"
-    return stabilize(dim_at, lambda a, b: a == b, 2, what)[0]
+    return stabilize(dim_at, lambda a, b: a == b, 2, what)
 
 
 def domino_number(block: BlockModule, i, cfg=DEFAULT_CONFIG) -> int:
@@ -338,9 +338,8 @@ def _rn_cohomology_at(tower: Tower, g, m, n, steps):
         return vN, pair_pres(mm, nn), tower.level(mm, nn).piece(g).pres, P
 
     amb1 = pair_pres(m, n)
-    K1, K1gens = eventual_kernel(step_v, amb1, steps=steps, what="ker v_N")
-    H1 = present_span(K1gens, quotient_by(amb1, uN(m, n)))
-    out[-1] = H1.min_exps()
+    K1gens = eventual_kernel(step_v, amb1, steps=steps, what="ker v_N")
+    out[-1] = present_span(K1gens, quotient_by(amb1, uN(m, n))).min_exps()
 
     # H^-2: stabilized kernel of u_N inside M(-1) at level (m, n + 1)
     def step_u(k):
@@ -349,9 +348,8 @@ def _rn_cohomology_at(tower: Tower, g, m, n, steps):
         return uN(mm, nn), tower.level(mm, nn + 1).piece(g - 1).pres, pair_pres(mm, nn), P
 
     amb2 = tower.level(m, n + 1).piece(g - 1).pres
-    K2, K2gens = eventual_kernel(step_u, amb2, steps=steps, what="ker u_N")
-    H2 = present_span(K2gens, amb2)
-    out[-2] = H2.min_exps()
+    K2gens = eventual_kernel(step_u, amb2, steps=steps, what="ker u_N")
+    out[-2] = present_span(K2gens, amb2).min_exps()
     return out
 
 
@@ -549,9 +547,8 @@ def _block_totalization(block: BlockModule, precision, cfg):
                     P = tower.proj(g, (mm + k, n + k), (mm, n))
                     return Lk.d(g), Lk.piece(g).pres, Lk.piece(g + 1).pres, P
 
-                K, Kgens = eventual_kernel(step, base, steps=cfg2.steps, what="ker d")
-                H = present_span(Kgens, quotient_by(base, L.d(g - 1)))
-                exps_pair.append(H.min_exps())
+                Kgens = eventual_kernel(step, base, steps=cfg2.steps, what="ker d")
+                exps_pair.append(present_span(Kgens, quotient_by(base, L.d(g - 1))).min_exps())
             lo, hi = exps_pair
             # free = exponents that keep growing with the precision
             free = min(

@@ -14,8 +14,9 @@ This module is the one builder of presentations: `Pres.direct_sum`
 (over `blockdiag`) is the only direct sum of presented modules, and
 `normal_basis` reads a module's minimal generators, the coordinates of
 every element on them and their presentation off the module's own
-normal form; `minimal_gens` applies it to a span's presentation, so a
-caller never presents the same span twice.
+normal form; `minimal_gens` applies it to a span's presentation.  A
+span is presented once, by the caller that reads it: the chain helpers
+of `rmod` return spans as generator columns, never presentations.
 
 Matrices are numpy int64 arrays with entries reduced into [0, q),
 q = p^m.  `ZMod.reduce` returns an int64 argument already in range
@@ -474,23 +475,19 @@ def normal_basis(pres: Pres):
     return invert_unimodular(U, R, cols=keep), U[keep], sub
 
 
-def minimal_gens(G, amb: Pres, K=None):
+def minimal_gens(G, amb: Pres):
     """A minimal generating set of span(G) inside amb, with its presentation.
 
     Presents the span on G's columns and keeps the generators of that
     presentation's `normal_basis`.  Returns (gens, pres): gens in amb's
     coordinates, and pres on them, where the kept generator with
-    annihilator exponent e has the single relation p^e.  K, when given,
-    is `present_span(G, amb)` (as `stable_pushdown` returns it) and
-    is not computed again.
+    annihilator exponent e has the single relation p^e.
     """
     R = amb.R
     G = R.reduce(G)
     if G.shape[1] == 0:
         return G, Pres(R, 0)
-    if K is None:
-        K = present_span(G, amb)
-    gens, _, pres = normal_basis(K)
+    gens, _, pres = normal_basis(present_span(G, amb))
     return R.matmul(G, gens), pres
 
 

@@ -19,8 +19,10 @@ Kernels and cohomology at a single level carry truncation phantoms
 (e.g. ker(V) on W_m), so every reported quantity is the eventual value
 of a chain.  `stabilize` is the one acceptance loop, along levels
 (`stable_pushdown`: equal spans in the base piece), F-bands (the
-derived star), s (F^s B) and k (the domino levels); it raises
-`Unstable` when the configured maximum is reached.
+derived star), s (F^s B) and k (the domino levels); it returns the
+accepted value, or raises `Unstable` at the configured maximum.  A
+level-chain step builds its span and that span's quotient once;
+`stable_pushdown` returns the span, and each caller presents what it reads.
 
 `fil_gens` is the one builder of Fil^s: the truncation levels of a
 `ModelTower`, `standard_filtration`, the finite-length check and the
@@ -412,14 +414,15 @@ class SumTower(Tower):
 
 
 def stabilize(value_at, same, steps, what):
-    """The eventual value of a chain: (value_at(k), k) at the first
-    k <= steps with same(value_at(k - 1), value_at(k)), else `Unstable`.
-    `value_at` is called lazily, in order, never past the accepted k."""
+    """The eventual value of a chain: value_at(k) at the first k <= steps
+    with same(value_at(k - 1), value_at(k)), else `Unstable`.  `value_at`
+    is called lazily, in order, never past the accepted k; this loop is
+    the one place that knows how many steps a quantity used."""
     last = ()
     for k in range(1, steps + 1):
         value = value_at(k)
         if last and same(last[-1], value):
-            return value, k
+            return value
         last = (*last[-1:], value)
     raise Unstable(f"{what} did not stabilize within {steps} steps", what, steps, last)
 
@@ -428,22 +431,23 @@ def stable_pushdown(gens_at, base_piece: Pres, steps=3, what="submodule"):
     """`stabilize` along the level chain: gens_at(k) = (gens, proj) are
     generator columns at chain step k and the projection of their level
     to the base piece, where step k - 1 and k must span the same
-    submodule.  Returns (K, G): the accepted span G, and K its
-    presentation `present_span(G, base_piece)`."""
+    submodule.  Returns the accepted span G, as columns in base_piece's
+    coordinates; a caller presents what it reads of it.  Each step's
+    quotient base_piece / G is built once and serves both comparisons
+    the step takes part in."""
 
     def pushed(k):
         gens, proj = gens_at(k)
-        return base_piece.R.matmul(proj, gens)
+        G = base_piece.R.matmul(proj, gens)
+        return G, quotient_by(base_piece, G)
 
-    G, _ = stabilize(
-        pushed, lambda a, b: _same_span(a, b, base_piece), steps, f"{what} along the level chain"
-    )
-    return present_span(G, base_piece), G
+    return stabilize(pushed, _same_span, steps, f"{what} along the level chain")[0]
 
 
 def eventual_kernel(step, base_piece: Pres, steps=3, what="kernel"):
     """`stable_pushdown` of the kernels of step(k) = (A, src, dst, proj):
-    the map A : src -> dst at chain step k and src's projection to the base."""
+    the map A : src -> dst at chain step k and src's projection to the
+    base.  Returns the accepted kernel span, unpresented."""
 
     def gens_at(k):
         A, src, dst, proj = step(k)
@@ -452,8 +456,10 @@ def eventual_kernel(step, base_piece: Pres, steps=3, what="kernel"):
     return stable_pushdown(gens_at, base_piece, steps=steps, what=what)
 
 
-def _same_span(G1, G2, amb: Pres):
-    R = amb.R
-    if np.array_equal(G1 % R.q, G2 % R.q):
-        return True
-    return quotient_by(amb, G1).element_is_zero(G2) and quotient_by(amb, G2).element_is_zero(G1)
+def _same_span(a, b):
+    """Whether the pairs a, b = (G, amb / span(G)) of one ambient span the
+    same submodule: equal quotient relations decide it with no
+    factoring; otherwise each G must vanish in the other's quotient, read
+    off that quotient's cached normal form."""
+    (G1, Q1), (G2, Q2) = a, b
+    return np.array_equal(Q1.rels, Q2.rels) or (Q2.element_is_zero(G1) and Q1.element_is_zero(G2))

@@ -572,7 +572,7 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
             return K, src
 
         what = "derived star kernel in the F-band direction"
-        return stabilize(kernels, lambda a, b: _bands_agree(*a, *b), 6, what)[0]
+        return stabilize(kernels, lambda a, b: _bands_agree(*a, *b), 6, what)
 
     K0, src0 = chain_at(0)
     stable_k = {}
@@ -583,8 +583,8 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
             return K[g], _band_select(src, src0, g)
 
         base = src0.level.piece(g).pres
-        K, G = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
-        stable_k[g] = minimal_gens(G, base, K)
+        G = stable_pushdown(gens_at, base, 2 * mv + 4, "derived-star kernel")
+        stable_k[g] = minimal_gens(G, base)
     hminus = src0.submodel(stable_k)
 
     # cokernel: image of the transition coker_f -> coker_(f + step).  The
@@ -604,7 +604,7 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
 
     # fingerprints only: equal per-grading min_exps, not equal submodules
     what = "derived star cokernel in the F-band direction"
-    (_, dstB, subs, quots), _ = stabilize(images, lambda a, b: a[0] == b[0], 8, what)
+    _, dstB, subs, quots = stabilize(images, lambda a, b: a[0] == b[0], 8, what)
     hzero = dstB.submodel(subs, quots)
 
     cands = [(f"U_{t}", make_block("Domino", p, t=t).tower) for t in (-1, 0, 1, 2)]
@@ -636,8 +636,9 @@ def _bands_agree(k1, src1, k2, src2):
     for g in set(k1) | set(k2):
         if g not in k1 or g not in k2:
             return False
-        K1_in_2 = src2.R.matmul(_band_select(src1, src2, g), k1[g])
-        if not _same_span(K1_in_2, k2[g], src2.level.piece(g).pres):
+        amb = src2.level.piece(g).pres
+        K1 = src2.R.matmul(_band_select(src1, src2, g), k1[g])  # k1[g] in src2
+        if not _same_span((K1, quotient_by(amb, K1)), (k2[g], quotient_by(amb, k2[g]))):
             return False
     return True
 

@@ -233,6 +233,6 @@ def test_page_algebra_deep_columns_and_vanishing():
             )
             return K, P
 
-        Kst, Kgens = stable_pushdown(ker_at, src, steps=4, what=f"row-1 column {col}")
+        Kgens = stable_pushdown(ker_at, src, steps=4, what=f"row-1 column {col}")
         S = present_span(Kgens, quotient_by(src, maps[col]))
         assert S.min_exps() == [], f"E2^{{{col},1}} should vanish"

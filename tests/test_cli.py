@@ -154,6 +154,28 @@ def test_malformed_block_spec_exits_2_with_one_line(r, block, why, tmp_path, cap
         assert len(blocks._BLOCK_INSTANCES) == cached
 
 
+@pytest.mark.parametrize(
+    "fields, shift, why",
+    [
+        ({"p": 2}, [1.5, 0], "shift must be an integer, got 1.5"),
+        ({"p": 2}, [0, "1"], "shift must be an integer, got '1'"),
+        ({"p": 2.9, "r": 1.5}, [0, 0], "p must be an integer, got 2.9"),
+        ({"p": 2, "r": 1.5}, [0, 0], "r must be an integer, got 1.5"),
+        ({"p": "2"}, [0, 0], "p must be an integer, got '2'"),
+        ({"p": True}, [0, 0], "p must be an integer, got True"),
+    ],
+)
+def test_non_integer_spec_number_exits_2_with_one_line(fields, shift, why, tmp_path, capsys):
+    # p, r and the shifts follow make_block's rule for t, i and j: no
+    # bool, float or str is truncated into an integer
+    spec = tmp_path / "bad.json"
+    block = {"kind": "Domino", "t": 0}
+    spec.write_text(json.dumps({**fields, "object": [{"block": block, "shift": shift}]}))
+    code, out, err = run_cli(["invariants", str(spec)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.rstrip().endswith(why)
+
+
 def test_star_unit(specs, capsys):
     code, out, err = run_cli(
         ["star", specs["w"], specs["u0"], "--precision", "2", "--vdepth", "5"], capsys

@@ -17,7 +17,7 @@ from raynaud.homs import (
     identify_block,
 )
 from raynaud.invariants import InvariantConfig, domino_number_tower
-from raynaud.linalg import Pres, ZMod, kernel_gens
+from raynaud.linalg import Pres, ZMod, kernel_gens, present_span
 from raynaud.rmod import SumTower, stable_pushdown
 from raynaud.star import derived_star
 
@@ -175,8 +175,8 @@ def hom_exps(src, dst, m, n):
         bottom = sum(nd * ns for (c, _), (_, nd, ns) in offsets.items() if c == 0)
         return G[:bottom, :], amb.R.eye(bottom)
 
-    K, G0 = stable_pushdown(bottom_at, amb, steps=4, what="hom space")
-    return K.min_exps(), G0
+    G0 = stable_pushdown(bottom_at, amb, steps=4, what="hom space")
+    return present_span(G0, amb).min_exps(), G0
 
 
 def brute_force_tower_homs(src, dst, m, n):
