@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Pres, blockdiag, kernel_into, present_span, quotient_by
+from .linalg import Pres, ZMod, blockdiag, kernel_into, present_span, quotient_by
 from .rmod import Unstable, eventual_kernel
 from .blocks import make_block, truncate
 from .formal import FormalObject, Summand
@@ -143,6 +143,7 @@ def e2_rows01(cfg: PipelineConfig):
     """E_2 cells of rows 0 and 1: W at (0,0), D(alpha_p) at (1,1), rest 0."""
     p = cfg.p
     m, n = cfg.cell_level()
+    R = ZMod(p, m)
     row0 = row0_cells(cfg)
     E = make_block("Dieudonne", p, i=1, j=1)
 
@@ -158,7 +159,7 @@ def e2_rows01(cfg: PipelineConfig):
 
         def step(k, c=c):
             mm, nn = m + k, n + k
-            P = np.kron(np.eye(c + 1, dtype=np.int64), E.tower.proj(0, (mm, nn), (m, n)))
+            P = R.kron(R.eye(c + 1), E.tower.proj(0, (mm, nn), (m, n)))
             d = row1_map(p, c + 1, mm, nn)[0]
             return d, column_pres(c + 1, mm, nn), column_pres(c + 2, mm, nn), P
 

@@ -117,9 +117,9 @@ class DominoTower(Tower):
                 Pres(R, nu * self.r, (self.p * R.eye(nu * self.r)) % R.q),
             ),
         }
-        V = {0: np.kron(V0, sig_inv) % R.q}
-        d = {0: np.kron(d0, np.eye(self.r, dtype=np.int64)) % R.q}
-        F = {1: np.kron(F1, sig) % R.q}
+        V = {0: R.kron(V0, sig_inv)}
+        d = {0: R.kron(d0, R.eye(self.r))}
+        F = {1: R.kron(F1, sig)}
         return Level(R, n, pieces, V, d, F, r=self.r)
 
 
@@ -172,8 +172,8 @@ class DieudonneTower(Tower):
         R = ZMod(self.p, m)
         sig, sig_inv = _sigma_blocks(self.p, self.r, m)
         Fc, Vc = self.conceptual_ops(R.q)
-        Fm = np.kron(Fc, sig) % R.q
-        Vm = np.kron(Vc, sig_inv) % R.q
+        Fm = R.kron(Fc, sig)
+        Vm = R.kron(Vc, sig_inv)
         h = (self.i + self.j) * self.r
         rels = mat_pow_mod(Vm, n, R)
         rels = rels[:, rels.any(axis=0)]

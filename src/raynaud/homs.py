@@ -91,7 +91,7 @@ def _chain_solutions(src: Tower, dst: Tower, m, n):
         return R.matmul(R.matmul(bases[(side,) + out][1], op), bases[(side,) + inp][0])
 
     def kron_block(A, B):
-        return np.kron(B.T.astype(np.int64), A.astype(np.int64)) % RB.q
+        return RB.kron(B.T, A)
 
     def eye(k):
         return np.eye(k, dtype=np.int64)

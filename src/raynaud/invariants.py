@@ -426,9 +426,15 @@ def slope_numbers(X: FormalObject, cfg=DEFAULT_CONFIG):
 
 
 class InvariantTable:
-    """The (i, j)-indexed record of h, h_W, T, m plus per-degree data."""
+    """The (i, j)-indexed record of h, h_W, T, m plus per-degree data.
 
-    def __init__(self, h, hW, T, mvals, newton, newton_hodge, betti, config):
+    `depth` is the V-depth the computation used: each block raises the
+    requested one to at least its stabilization depth plus two
+    (`InvariantConfig.require`).  Where that exceeds the stamped
+    truncation, the JSON says so in `effective_level`.
+    """
+
+    def __init__(self, h, hW, T, mvals, newton, newton_hodge, betti, config, depth):
         self.h = h
         self.hW = hW
         self.T = T
@@ -437,6 +443,7 @@ class InvariantTable:
         self.newton_hodge = newton_hodge
         self.betti = betti
         self.config = config
+        self.depth = depth
 
     def to_json(self):
         def num(x):
@@ -458,6 +465,8 @@ class InvariantTable:
             "betti": {str(nn): int(v) for nn, v in sorted(self.betti.items())},
             "truncation": {"m": self.config.m, "n": self.config.n},
         }
+        if self.depth != self.config.n:
+            payload["effective_level"] = {"m": self.config.m, "n": self.depth}
         return json.dumps(payload, sort_keys=True)
 
     def to_markdown(self):
@@ -505,7 +514,8 @@ def hodge_witt_numbers(X: FormalObject, cfg=DEFAULT_CONFIG) -> InvariantTable:
     tot = totalize(X, cfg.m, cfg)
     for ndeg, data in tot.items():
         betti[ndeg] = data["betti"]
-    return InvariantTable(h, hW, T, mvals, newton, nh, betti, cfg)
+    depth = max([cfg.require(s.block.stabilization + 2).n for s in X.summands], default=cfg.n)
+    return InvariantTable(h, hW, T, mvals, newton, nh, betti, cfg, depth)
 
 
 # ---------------------------------------------------------------------------

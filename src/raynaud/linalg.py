@@ -8,15 +8,19 @@ and a division-free characteristic polynomial.  `smith_normal_form` is
 the only elimination: inverses (`invert_unimodular`), kernels
 (`kernel_gens`), solves (`LinearSolver`) and membership
 (`Pres.element_is_zero`, on the presentation's cached normal form) all
-read its transforms.
+read its transforms.  It can also return U^-1, built by the inverse
+column operations of the same elimination; `normal_basis` reads its
+generators there, so a presentation is factored once for its normal
+form and basis together.
 
 This module is the one builder of presentations: `Pres.direct_sum`
 (over `blockdiag`) is the only direct sum of presented modules, and
 `normal_basis` reads a module's minimal generators, the coordinates of
 every element on them and their presentation off the module's own
-normal form; `minimal_gens` applies it to a span's presentation.  A
-span is presented once, by the caller that reads it: the chain helpers
-of `rmod` return spans as generator columns, never presentations.
+normal form, U^-1 included; `minimal_gens` applies it to a span's
+presentation.  A span is presented once, by the caller that reads it:
+the chain helpers of `rmod` return spans as generator columns, never
+presentations.
 
 Matrices are numpy int64 arrays with entries reduced into [0, q),
 q = p^m.  `ZMod.reduce` returns an int64 argument already in range
@@ -28,7 +32,8 @@ package goes through `ZMod.matmul`, which checks the bound
 k * (q - 1)^2 for inner dimension k: below 2^53 it multiplies large
 products in float64 through BLAS, below 2^63 it uses int64, and above
 that Python ints, so no product can overflow silently.  The one limit
-left is elementwise: `ZMod` raises `PrecisionOutOfRange` on q^2 >= 2^62.
+left is elementwise: `ZMod` raises `PrecisionOutOfRange` on q^2 >= 2^62,
+which keeps `ZMod.kron`, the package's one Kronecker product, exact.
 """
 
 from __future__ import annotations
@@ -119,6 +124,19 @@ class ZMod:
             C = np.asarray((A.astype(object) @ B.astype(object)) % self.q, dtype=np.int64)
         return C % self.q
 
+    def kron(self, A, B) -> np.ndarray:
+        """The Kronecker product of the matrices A and B mod q, reduced
+        into [0, q): with B of shape (rb, cb), entry (i rb + k, j cb + l)
+        is A[i, j] B[k, l].
+
+        Both factors are reduced first, so every entry is one product of
+        two residues below q; `__init__` refuses q^2 >= 2^62, so that
+        product is exact in int64.
+        """
+        A, B = self.reduce(A), self.reduce(B)
+        (ra, ca), (rb, cb) = A.shape, B.shape
+        return (A[:, None, :, None] * B[None, :, None, :]).reshape(ra * rb, ca * cb) % self.q
+
     def zeros(self, rows: int, cols: int) -> np.ndarray:
         return np.zeros((rows, cols), dtype=np.int64)
 
@@ -135,14 +153,18 @@ class ZMod:
         return hash((self.p, self.m))
 
 
-def smith_normal_form(A, R: ZMod, left=True, right=True):
+def smith_normal_form(A, R: ZMod, left=True, right=True, left_inverse=False):
     """Return (U, V, exps) with U @ A @ V = diag(p^exps) mod p^m.
 
     U and V are invertible over Z/p^m and exps is ascending, so the
     diagonal forms a divisibility chain.  An exponent equal to R.m
     means the diagonal entry is 0 in Z/p^m.  With left=False (right=False)
     U (V) is not accumulated and None is returned in its place; the
-    pivots, the other transform and exps do not change.
+    pivots, the other transform and exps do not change.  With
+    left_inverse=True a fourth value, U^-1, is returned: each row
+    operation on U is the inverse column operation on U^-1, so it is
+    read off the same elimination (Storjohann, "Algorithms for matrix
+    canonical forms", 2000) instead of a second factorization.
 
     Pivots are chosen layer by layer in the valuation: in layer e the
     pivot is the first row, in the current row order, with a
@@ -156,9 +178,9 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
     in its column.  Row and column swaps are logical permutations.  After
     the row operations column t is p^e e_t and every entry of row t is a
     multiple of p^e, so the column operations that clear row t change no
-    other row: they act only on V.  U is kept as sparse rows and V as
-    sparse columns; each is filled into its int64 array by one scatter,
-    at return.
+    other row: they act only on V.  U is kept as sparse rows, V and U^-1
+    as sparse columns; each is filled into its int64 array by one
+    scatter, at return.
 
     The cost grows with the nonzeros and their fill-in, not with the
     matrix size; the matrices raynaud factors are a few percent nonzero.
@@ -180,6 +202,8 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
     cord, cpos = list(range(cols)), list(range(cols))
     Urow = [{i: 1} for i in range(rows)] if left else None
     Vcol = [{j: 1} for j in range(cols)] if right else None
+    # column i of U^-1 pairs with row i of U: it moves with that row's swaps
+    Icol = [{i: 1} for i in range(rows)] if left_inverse else None
     live = set(range(rows))  # rows not yet pivoted: positions t and up
     exps = []
     t = 0
@@ -198,7 +222,8 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
             rord[t], rord[b], rpos[pi], rpos[a] = pi, a, t, b
             a, b = cord[t], cpos[pj]
             cord[t], cord[b], cpos[pj], cpos[a] = pj, a, t, b
-            u = R.inv_unit(prow[pj] // pe)
+            w = prow[pj] // pe
+            u = R.inv_unit(w)
             if u != 1:
                 for j in prow:
                     prow[j] = prow[j] * u % q
@@ -206,6 +231,10 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
                     urow = Urow[pi]
                     for j in urow:
                         urow[j] = urow[j] * u % q
+                if left_inverse:  # row pi *= u, so column pi *= u^-1 = w
+                    icol = Icol[pi]
+                    for j in icol:
+                        icol[j] = icol[j] * w % q
             for j in prow:
                 Dcol[j].discard(pi)
             live.discard(pi)
@@ -227,6 +256,8 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
                             Dcol[j].discard(i)
                 if left:
                     _sub_multiple(Urow[i], c, uitems, q)
+                if left_inverse:  # row i -= c row pi, so column pi += c column i
+                    _sub_multiple(Icol[pi], -c, list(Icol[i].items()), q)
                 if any(v % pp for v in row.values()):
                     hot.add(i)
                 else:
@@ -249,7 +280,12 @@ def smith_normal_form(A, R: ZMod, left=True, right=True):
         V = R.zeros(cols, cols)
         pos, idx, val = _flatten(Vcol, cord)
         V[idx, pos] = val
-    return U, V, exps
+    if not left_inverse:
+        return U, V, exps
+    Uinv = R.zeros(rows, rows)
+    pos, idx, val = _flatten(Icol, rord)
+    Uinv[idx, pos] = val
+    return U, V, exps, Uinv
 
 
 def _flatten(vecs, order):
@@ -274,17 +310,18 @@ def _sub_multiple(vec, c, items, q):
             vec.pop(j, None)
 
 
-def invert_unimodular(U, R: ZMod, cols=None) -> np.ndarray:
+def invert_unimodular(U, R: ZMod) -> np.ndarray:
     """Inverse of a matrix invertible over Z/p^m; ZeroDivisionError otherwise.
 
-    With A U B = 1 from the Smith normal form, the inverse is B A.  With
-    `cols` (a list of column indices) only those columns of the inverse
-    are formed.
+    With A U B = 1 from the Smith normal form, the inverse is B A.  This
+    inverts a matrix given on its own (the closed-form star's F^-1); the
+    inverse of a normal form's transform comes out of that normal form's
+    own elimination (`normal_basis`).
     """
     A, B, exps = smith_normal_form(U, R)
     if U.shape[0] != U.shape[1] or any(exps):
         raise ZeroDivisionError("matrix is not invertible over Z/p^m")
-    return R.matmul(B, A if cols is None else A[:, cols])
+    return R.matmul(B, A)
 
 
 def kernel_gens(A, R: ZMod, src_exps=None, rows=None) -> np.ndarray:
@@ -343,12 +380,13 @@ class LinearSolver:
 class Pres:
     """A module presented as (Z/p^m)^ngens modulo the span of `rels`.
 
-    Relations are stored reduced mod p^m; when there are two or more
-    columns they are sorted lexicographically (row 0 first) with
-    duplicate and zero columns dropped, the columns `np.unique(axis=1)`
-    would keep.  The normal form (exponents of the cyclic decomposition,
-    with basis transform) is computed lazily.  The implicit lattice
-    p^m * (every generator) is always part of the relations.
+    Relations are stored reduced mod p^m, sorted lexicographically (row
+    0 first) with duplicate and zero columns dropped: the nonzero columns
+    `np.unique(axis=1)` would keep, however many columns were given.  The
+    normal form (exponents of the cyclic decomposition, with basis
+    transform) is computed lazily, and so is the inverse of its transform
+    (`normal_basis`).  The implicit lattice p^m * (every generator) is
+    always part of the relations.
     """
 
     __slots__ = ("R", "ngens", "rels", "_nf")
@@ -361,7 +399,7 @@ class Pres:
         rels = R.reduce(rels)
         if rels.shape[0] != ngens:
             raise ValueError("relation matrix has wrong number of rows")
-        if rels.shape[1] > 1:
+        if rels.shape[1]:
             # np.lexsort takes its last key as the primary one
             rels = rels[:, np.lexsort(rels[::-1])]
             keep = rels.any(axis=0)
@@ -383,15 +421,20 @@ class Pres:
         """(exps, P): exps[i] = annihilator exponent of the i-th new
         generator; x_new = P x_old diagonalizes the relation lattice."""
         if self._nf is None:
-            if self.rels.shape[1] == 0:
-                self._nf = ([self.R.m] * self.ngens, self.R.eye(self.ngens))
-            else:
-                U, _, sexps = smith_normal_form(self.rels, self.R, right=False)
-                exps = [self.R.m] * self.ngens
-                for t, e in enumerate(sexps):
-                    exps[t] = min(e, self.R.m)
-                self._nf = (exps, U % self.R.q)
-        return self._nf
+            self._factor(inverse=False)
+        return self._nf[:2]
+
+    def _factor(self, inverse):
+        """Cache (exps, P, P^-1), P^-1 None unless `inverse` asks for it."""
+        R, n = self.R, self.ngens
+        if self.rels.shape[1] == 0:
+            self._nf = ([R.m] * n, R.eye(n), R.eye(n))
+            return
+        U, _, sexps, *Uinv = smith_normal_form(self.rels, R, right=False, left_inverse=inverse)
+        exps = [R.m] * n
+        for t, e in enumerate(sexps):
+            exps[t] = min(e, R.m)
+        self._nf = (exps, U, Uinv[0] if inverse else None)
 
     @property
     def exps(self):
@@ -465,14 +508,21 @@ def normal_basis(pres: Pres):
     kept generator with annihilator exponent e has the single relation
     p^e.  The kept exponents are ascending, so sub is its own normal
     form (identity transform); it is stored, and no SNF is run for it.
+
+    U^-1 comes out of the elimination that gives U, so a fresh pres is
+    factored once.  A pres whose normal form was cached without the
+    inverse is factored once more, with it.
     """
     R = pres.R
-    exps, U = pres.normal_form()
+    if pres._nf is None or pres._nf[2] is None:
+        pres._factor(inverse=True)
+    exps, U, Uinv = pres._nf
     keep = [t for t, e in enumerate(exps) if e > 0]
     pe = np.array([R.p ** exps[t] for t in keep], dtype=np.int64) % R.q
     sub = Pres(R, len(keep), np.diag(pe)[:, pe != 0])
-    sub._nf = ([exps[t] for t in keep], R.eye(len(keep)))
-    return invert_unimodular(U, R, cols=keep), U[keep], sub
+    eye = R.eye(len(keep))
+    sub._nf = ([exps[t] for t in keep], eye, eye)
+    return Uinv[:, keep], U[keep], sub
 
 
 def minimal_gens(G, amb: Pres):

@@ -7,6 +7,9 @@ Three routes are implemented and cross-checked:
   grid bounded by the V-depth, modulo the instantiated defining
   relations (V x) * y = V(x * F y), x * (V y) = V(F x * y) and their
   d-images, then cut by the output's own standard filtration.
+  `StarModel` builds each relation family and operator as one Kronecker
+  block over all generator pairs of two gradings (`ZMod.kron`); the
+  tests keep the symbol-by-symbol expansion as its oracle.
 * `star_frobenius_bijective` -- the closed form M tensor_W N with
   F = F x F, V = V x F^(-1), d = d x 1 +/- 1 x d, valid when F is
   bijective on N.
@@ -35,7 +38,6 @@ import numpy as np
 from .linalg import (
     Pres,
     ZMod,
-    _flatten,
     blockdiag,
     invert_unimodular,
     kernel_into,
@@ -110,12 +112,11 @@ def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule) -> Tower:
                     rel_blocks.append(
                         np.concatenate(
                             [
-                                np.kron(pa.pres.rels, np.eye(pb.ngens, dtype=np.int64)),
-                                np.kron(np.eye(pa.ngens, dtype=np.int64), pb.pres.rels),
+                                R.kron(pa.pres.rels, R.eye(pb.ngens)),
+                                R.kron(R.eye(pa.ngens), pb.pres.rels),
                             ],
                             axis=1,
                         )
-                        % R.q
                     )
                     sizes.append(pa.ngens * pb.ngens)
                 rels = blockdiag(R, rel_blocks, rows=sizes)
@@ -147,17 +148,14 @@ def star_frobenius_bijective(Mb: BlockModule, Nb: BlockModule) -> Tower:
                         Finv = invert_unimodular(FN, R) if FN.size else FN
                     except ZeroDivisionError:
                         raise ClosedFormInapplicable("closed form inapplicable: F not bijective")
-                    blk = np.kron(LM.V(a1), Finv) % R.q
+                    blk = R.kron(LM.V(a1), Finv)
                 elif which == "F" and (a2, b2) == (a1, b1):
-                    blk = np.kron(LM.F_lift(a1), LN.F_lift(b1)) % R.q
+                    blk = R.kron(LM.F_lift(a1), LN.F_lift(b1))
                 elif which == "d":
                     if (a2, b2) == (a1 + 1, b1):
-                        blk = np.kron(LM.d(a1), np.eye(LN.piece(b1).ngens, dtype=np.int64))
+                        blk = R.kron(LM.d(a1), R.eye(LN.piece(b1).ngens))
                     elif (a2, b2) == (a1, b1 + 1):
-                        sign = (-1) ** a1
-                        blk = (
-                            sign * np.kron(np.eye(LM.piece(a1).ngens, dtype=np.int64), LN.d(b1))
-                        ) % R.q
+                        blk = (-1) ** a1 * R.kron(R.eye(LM.piece(a1).ngens), LN.d(b1)) % R.q
                 row.append(blk % R.q)
             blocks_rows.append(row)
         src_total = sum(LM.piece(a).ngens * LN.piece(b).ngens for a, b in parts_src)
@@ -190,153 +188,175 @@ def _add_label(model, key, g):
     model.labels[g].append(key)
 
 
+# the lowest V-level of each symbol kind: V^s(x * y) from s = 0, dV^s(x * y) from s = 1
+_LOWEST = {"g": 0, "h": 1}
+
+
 class StarModel:
-    """The presented model of M * N at depth S, with symbol bookkeeping.
+    """The presented model of M * N at depth S, built by Kronecker blocks.
 
-    A term (kind, s, gm, x, gn, y, coeff) stands for coeff * kind^s(x * y)
-    with x, y coordinate vectors of M^gm and N^gn, expanded bilinearly over
-    the symbols ("g", s, gm, a, gn, b) = V^s(x_a * y_b) and
-    ("h", s, gm, a, gn, b) = dV^s(x_a * y_b).
+    The symbols are V^s(x_a * y_b) ("g", s, gm, a, gn, b), 0 <= s < S, in
+    grading gm + gn, and dV^s(x_a * y_b) ("h", s, gm, a, gn, b), 1 <= s < S,
+    in grading gm + gn + 1, for generators x_a of M^gm and y_b of N^gn.
+    Each factor pair (gm, gn) holds one contiguous block of each kind,
+    ordered by (a, b) and then s, so the symbols kind^s of a pair sit at
+    `_pos(kind, s, gm, gn)`: one position per (a, b).
 
-    `_coeffs` is the one expansion: it collects a sum of terms as a
-    {position: value} dict.  Each relation is kept in that form, and each
-    grading's relation matrix is filled by one scatter; relations that
-    vanish are dropped.  Column order does not matter, since `Pres` sorts
-    and deduplicates its columns.  `_vec` gives the same sum as a dense
-    vector, for the operator columns of `_ops`.
+    Every relation family, operator and `second_factor_map` is a
+    Kronecker block over all (a, b) at once, placed at those positions
+    for each s.  The relation V^s(x * F y) = V^(s-1)(V x * y), for
+    instance, is kron(I, F_N) at the s-symbols minus kron(V_M, I) at the
+    (s-1)-symbols.  Each (row, column) of a relation or operator receives
+    exactly one entry, so the blocks' nonzero entries are scattered into
+    each grading's matrix once, with no summation; relation columns that
+    stay zero are dropped before the matrix is allocated.  Column order
+    does not matter, since `Pres` sorts and deduplicates its columns.
     """
 
     def __init__(self, Mb: BlockModule, Nb: BlockModule, m: int, S: int):
         _require_r1(Mb, Nb)
+        if S < 2:
+            raise ValueError("the star model needs depth S >= 2")
         self.Mb, self.Nb, self.m, self.S = Mb, Nb, m, S
         R = self.R = ZMod(Mb.p, m)
         LM = self.LM = Mb.tower.level(m, S)
         LN = self.LN = Nb.tower.level(m, S)
 
-        # generator grid, indexed per output grading
-        self.index, self.labels = {}, {}
+        # symbol blocks in factor-pair order; _at[kind, gm, gn] is a block's offset
+        self.labels, self._at = {}, {}
         for gm in Mb.tower.gradings():
             for gn in Nb.tower.gradings():
-                for a in range(LM.piece(gm).ngens):
-                    for b in range(LN.piece(gn).ngens):
-                        for s in range(S):
-                            _add_label(self, ("g", s, gm, a, gn, b), gm + gn)
-                        for s in range(1, S):
-                            _add_label(self, ("h", s, gm, a, gn, b), gm + gn + 1)
+                nm, nn = LM.piece(gm).ngens, LN.piece(gn).ngens
+                grid = [(a, b) for a in range(nm) for b in range(nn)]
+                for kind, g in (("g", gm + gn), ("h", gm + gn + 1)):
+                    if grid:
+                        labs = self.labels.setdefault(g, [])
+                        self._at[kind, gm, gn] = len(labs)
+                        levels = range(_LOWEST[kind], S)
+                        labs.extend((kind, s, gm, a, gn, b) for a, b in grid for s in levels)
         self.sizes = {g: len(v) for g, v in self.labels.items()}
 
-        rel_cols = {g: [] for g in self.labels}
-        for g, terms in self._relations():
-            col = self._coeffs(*terms)
-            if col:
-                rel_cols[g].append(col)
+        rels = {g: [] for g in self.sizes}  # grading -> entries of its relations
+        width = dict.fromkeys(self.sizes, 0)  # relation columns so far
+
+        def relations(g, count, placed):
+            """count relations per column of the blocks, the t-th of them at
+            the t-th row of positions: placed holds (block, positions of its
+            rows, the t it reaches)."""
+            ncols = placed[0][0].shape[1]
+            cols = width[g] + np.arange(count * ncols).reshape(count, ncols)
+            width[g] += cols.size
+            rels[g] += [_entries(B, at, cols[t]) for B, at, t in placed]
+
+        pairs = [(gm, gn) for kind, gm, gn in self._at if kind == "g"]
+        every, one, rest = np.arange(S), np.arange(1, S), slice(None)
+        for gm, gn in pairs:
+            g, pos = gm + gn, functools.partial(self._pos, gm=gm, gn=gn)
+            IM, IN = R.eye(LM.piece(gm).ngens), R.eye(LN.piece(gn).ngens)
+            # V^s(X1 x * Y1 y) = V^(s-1)(X2 x * Y2 y) for s >= 1, and its d-image:
+            # d V^(s-1)(X2 x * Y2 y) is an h-symbol for s >= 2, Leibniz at s = 1
+            for X1, Y1, X2, Y2 in (
+                (IM, LN.F_lift(gn), LM.V(gm), IN),
+                (LM.F_lift(gm), IN, IM, LN.V(gn)),
+            ):
+                top, bot = R.kron(X1, Y1), (-R.kron(X2, Y2)) % R.q
+                relations(g, S - 1, [(top, pos("g", one), rest), (bot, pos("g", one - 1), rest)])
+                placed = [(top, pos("h", one), rest), (bot, pos("h", one[1:] - 1), slice(1, None))]
+                placed += [
+                    (B, self._pos("g", 0, *pair), slice(0, 1))
+                    for B, pair in self._leibniz(gm, gn, X2, Y2, -1)
+                ]
+                relations(g + 1, S - 1, placed)
+            # the module relations of M and N, starred with every generator of the other
+            mod = np.concatenate(
+                [R.kron(LM.piece(gm).pres.rels, IN), R.kron(IM, LN.piece(gn).pres.rels)], axis=1
+            )
+            relations(g, S, [(mod, pos("g", every), rest)])
+            relations(g + 1, S - 1, [(mod, pos("h", one), rest)])
+
         pieces = {}
         for g, labs in self.labels.items():
-            cols = rel_cols[g]
-            rels = R.zeros(len(labs), len(cols))
-            c, pos, val = _flatten(cols, range(len(cols)))
-            rels[pos, c] = val
-            pieces[g] = LevelPiece(labs, Pres(R, len(labs), rels))
-        self.model = Level(R, S, pieces, *self._ops(), r=1)
+            used = np.zeros(width[g], dtype=bool)
+            for _, c, _ in rels[g]:
+                used[c] = True
+            moved = np.cumsum(used) - 1  # where each column left is moved to
+            mat = R.zeros(len(labs), int(used.sum()))
+            _scatter(mat, [(r, moved[c], v) for r, c, v in rels[g]])
+            pieces[g] = LevelPiece(labs, Pres(R, len(labs), mat))
+        self.model = Level(R, S, pieces, *self._ops(pairs), r=1)
 
-    def _coeffs(self, *terms):
-        """A sum of terms as a {position: value} dict of its nonzero
-        coordinates; positions are those of the terms' own grading."""
-        q, index = self.R.q, self.index
-        acc = {}
-        for kind, s, gm, x, gn, y, coeff in terms:
-            ys = [(b, yv) for b, yv in enumerate(y.tolist()) if yv]
-            for a, xv in enumerate(x.tolist()):
-                if not xv:
-                    continue
-                for b, yv in ys:
-                    c = xv * yv * coeff % q
-                    if c:
-                        pos = index[(kind, s, gm, a, gn, b)][1]
-                        acc[pos] = (acc.get(pos, 0) + c) % q
-        return {pos: v for pos, v in acc.items() if v}
+    def _pos(self, kind, levels, gm, gn):
+        """Positions of the symbols kind^s(x_a * y_b) of the pair (gm, gn):
+        one row per level s, one column per (a, b)."""
+        lo = _LOWEST[kind]
+        k = self.LM.piece(gm).ngens * self.LN.piece(gn).ngens
+        s = np.asarray(levels, dtype=np.int64).reshape(-1, 1)
+        return self._at[kind, gm, gn] + np.arange(k) * (self.S - lo) + (s - lo)
 
-    def _vec(self, g, *terms):
-        """The coordinate vector at grading g of a sum of terms."""
-        vec = np.zeros(self.sizes.get(g, 0), dtype=np.int64)
-        col = self._coeffs(*terms)
-        vec[list(col)] = list(col.values())
-        return vec
-
-    def _d_terms(self, s, gm, x, gn, y, coeff):
-        """The terms of coeff * d(V^s(x * y)): an h-symbol for s >= 1, else
-        the Leibniz expansion of d(x * y) in plain symbols."""
-        if s >= 1:
-            return [("h", s, gm, x, gn, y, coeff)]
-        return [
-            ("g", 0, gm + 1, self.R.matmul(self.LM.d(gm), x), gn, y, coeff),
-            ("g", 0, gm, x, gn + 1, self.R.matmul(self.LN.d(gn), y), coeff * (-1) ** gm),
+    def _leibniz(self, gm, gn, X, Y, sign):
+        """d(x * y) = dx * y + (-1)^gm x * dy for the columns x of X and y of
+        Y: the blocks sign * kron(d X, Y) on the pair (gm + 1, gn) and
+        sign * (-1)^gm kron(X, d Y) on (gm, gn + 1), where they are nonzero."""
+        R = self.R
+        out = [
+            (R.kron(R.matmul(self.LM.d(gm), X), Y) * sign % R.q, (gm + 1, gn)),
+            (R.kron(X, R.matmul(self.LN.d(gn), Y)) * (sign * (-1) ** gm) % R.q, (gm, gn + 1)),
         ]
+        return [(B, pair) for B, pair in out if B.any()]
 
-    def _relations(self):
-        """(grading, terms) for each instantiated relation: the defining
-        relations with their d-images, and the module relations of M and N
-        starred with every generator of the other factor."""
-        LM, LN, S = self.LM, self.LN, self.S
-        for gm in self.Mb.tower.gradings():
-            IM = np.eye(LM.piece(gm).ngens, dtype=np.int64)
-            for gn in self.Nb.tower.gradings():
-                IN = np.eye(LN.piece(gn).ngens, dtype=np.int64)
-                g = gm + gn
-                for x, Vx, Fx in zip(IM.T, LM.V(gm).T, LM.F_lift(gm).T):
-                    for y, Vy, Fy in zip(IN.T, LN.V(gn).T, LN.F_lift(gn).T):
-                        # V^s(x * F y) = V^(s-1)((V x) * y) and
-                        # V^s((F x) * y) = V^(s-1)(x * (V y)), with d-images
-                        for (x1, y1), (x2, y2) in (((x, Fy), (Vx, y)), ((Fx, y), (x, Vy))):
-                            for s in range(1, S):
-                                top, bot = (s, gm, x1, gn, y1, 1), (s - 1, gm, x2, gn, y2, -1)
-                                yield g, [("g", *top), ("g", *bot)]
-                                yield g + 1, self._d_terms(*top) + self._d_terms(*bot)
-                pairs = [(r, y) for r in LM.piece(gm).pres.rels.T for y in IN.T]
-                pairs += [(x, r) for r in LN.piece(gn).pres.rels.T for x in IM.T]
-                for x, y in pairs:
-                    for s in range(S):
-                        yield g, [("g", s, gm, x, gn, y, 1)]
-                        if s >= 1:
-                            yield g + 1, [("h", s, gm, x, gn, y, 1)]
-
-    def _ops(self):
+    def _ops(self, pairs):
         """V, d and the F-lift on the symbols."""
-        R, p, LM, LN = self.R, self.Mb.p, self.LM, self.LN
-        V = {g: R.zeros(k, k) for g, k in self.sizes.items()}
-        F = {g: R.zeros(k, k) for g, k in self.sizes.items()}
-        d = {g: R.zeros(self.sizes.get(g + 1, 0), k) for g, k in self.sizes.items()}
-        for (kind, s, gm, a, gn, b), (g, pos) in self.index.items():
-            x = np.eye(LM.piece(gm).ngens, dtype=np.int64)[a]
-            y = np.eye(LN.piece(gn).ngens, dtype=np.int64)[b]
-            up = self.index.get((kind, s + 1, gm, a, gn, b))
-            down = self.index.get((kind, s - 1, gm, a, gn, b))
-            if up is not None:
-                V[g][up[1], pos] = 1 if kind == "g" else p
-            if down is not None:
-                F[g][down[1], pos] = p if kind == "g" else 1
-            elif kind == "g":  # F(x * y) = F x * F y
-                Fx, Fy = LM.F_lift(gm)[:, a], LN.F_lift(gn)[:, b]
-                F[g][:, pos] = self._vec(g, ("g", 0, gm, Fx, gn, Fy, 1))
-            else:  # F(dV(x * y)) = d(x * y), the Leibniz expansion
-                F[g][:, pos] = self._vec(g, *self._d_terms(0, gm, x, gn, y, 1))
-            if kind == "g":
-                d[g][:, pos] = self._vec(g + 1, *self._d_terms(s, gm, x, gn, y, 1))
+        R, p, S, LM, LN = self.R, self.Mb.p, self.S, self.LM, self.LN
+        V, d, F = ({g: [] for g in self.sizes} for _ in range(3))  # entries per source grading
+        for gm, gn in pairs:
+            g, pos = gm + gn, functools.partial(self._pos, gm=gm, gn=gn)
+            # V: g^s -> g^(s+1), h^s -> p h^(s+1); F: g^s -> p g^(s-1), h^s -> h^(s-1)
+            for kind, shift, v_coeff, f_coeff in (("g", 0, 1, p), ("h", 1, p, 1)):
+                up = pos(kind, np.arange(_LOWEST[kind] + 1, S)).ravel()
+                down = pos(kind, np.arange(_LOWEST[kind], S - 1)).ravel()
+                V[g + shift].append((up, down, np.full(up.size, v_coeff)))
+                F[g + shift].append((down, up, np.full(up.size, f_coeff)))
+            g0, h1 = pos("g", 0), pos("h", 1)
+            IM, IN = R.eye(LM.piece(gm).ngens), R.eye(LN.piece(gn).ngens)
+            leibniz = [(B, self._pos("g", 0, *pr)) for B, pr in self._leibniz(gm, gn, IM, IN, 1)]
+            # F(x * y) = F x * F y, and F(dV(x * y)) = d(x * y)
+            F[g].append(_entries(R.kron(LM.F_lift(gm), LN.F_lift(gn)), g0, g0))
+            F[g + 1] += [_entries(B, at, h1) for B, at in leibniz]
+            # d V^s(x * y) = dV^s(x * y) for s >= 1, and d(x * y) at s = 0
+            hs, gs = pos("h", np.arange(1, S)).ravel(), pos("g", np.arange(1, S)).ravel()
+            d[g].append((hs, gs, np.ones(hs.size, dtype=np.int64)))
+            d[g] += [_entries(B, at, g0) for B, at in leibniz]
+        sizes = self.sizes
+        V, F = ({g: _scatter(R.zeros(k, k), ent[g]) for g, k in sizes.items()} for ent in (V, F))
+        d = {g: _scatter(R.zeros(sizes.get(g + 1, 0), k), d[g]) for g, k in sizes.items()}
         return V, d, F
 
     def second_factor_map(self, fN):
         """The induced endomorphism id * f for a module map f of N given
-        per grading on the level generators."""
+        per grading on the level generators: kron(I, f) on each symbol
+        block, at every level s."""
         R = self.R
-        out = {g: R.zeros(self.sizes[g], self.sizes[g]) for g in self.sizes}
-        for key, (g, pos) in self.index.items():
-            kind, s, gm, a, gn, b = key
-            fcol = fN[gn][:, b]
-            for bb in np.nonzero(fcol)[0]:
-                tgt = (kind, s, gm, a, gn, int(bb))
-                gg, pp = self.index[tgt]
-                out[g][pp, pos] = (out[g][pp, pos] + int(fcol[bb])) % R.q
+        out = {g: R.zeros(k, k) for g, k in self.sizes.items()}
+        for kind, gm, gn in self._at:
+            at = self._pos(kind, np.arange(_LOWEST[kind], self.S), gm, gn)
+            block = R.kron(R.eye(self.LM.piece(gm).ngens), fN[gn])
+            _scatter(out[gm + gn + (kind == "h")], [_entries(block, at, at)])
         return out
+
+
+def _entries(B, rows, cols):
+    """The nonzero entries of the block B as (rows, cols, values), placed
+    once per row of the position arrays rows and cols: each of those has
+    one row per placement and one column per row (column) of B."""
+    i, j = np.nonzero(B)
+    return rows[:, i].ravel(), cols[:, j].ravel(), np.tile(B[i, j], len(rows))
+
+
+def _scatter(out, entries):
+    """out with the (rows, cols, values) entries written in, one each."""
+    for r, c, v in entries:
+        out[r, c] = v
+    return out
 
 
 def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int):

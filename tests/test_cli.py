@@ -60,6 +60,24 @@ def test_invariants_u0(specs, capsys):
     assert data["hW"]["1,-1"] == -2
 
 
+def test_invariants_stamps_the_v_depth_it_computed_at(specs, capsys):
+    # U_0 stabilizes at depth 3, so every block computes at V-depth 5 at
+    # least; a shallower --vdepth is stamped, and the level used beside it
+    code, out, _ = run_cli(["invariants", specs["u0"], "--vdepth", "1"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["truncation"] == {"m": 3, "n": 1}
+    assert data["effective_level"] == {"m": 3, "n": 5}
+    code, deep, _ = run_cli(["invariants", specs["u0"], "--vdepth", "5"], capsys)
+    assert code == 0
+    deep = json.loads(deep)
+    assert "effective_level" not in deep and deep["truncation"] == {"m": 3, "n": 5}
+    for key in ("effective_level", "truncation"):
+        data.pop(key)
+    deep.pop("truncation")
+    assert data == deep
+
+
 def test_invariants_markdown_grid(specs, capsys):
     code, out, err = run_cli(["invariants", specs["p4"], "--format", "md"], capsys)
     assert code == 0

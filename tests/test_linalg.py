@@ -441,12 +441,10 @@ def test_pres_is_zero_rank_test_matches_normal_form(case):
 
 
 def _unique_columns_reference(A, R):
-    """The relation columns `Pres` stored when it called `np.unique`:
-    with two or more columns, the distinct nonzero columns of A mod q in
-    lexicographic order; a single column as it is."""
+    """The relation columns `Pres` stored when it called `np.unique`: the
+    distinct nonzero columns of A mod q in lexicographic order, a single
+    column included."""
     A = R.reduce(A)
-    if A.shape[1] < 2:
-        return A
     ref = np.unique(A, axis=1)
     return ref[:, ref.any(axis=0)]
 
@@ -481,10 +479,22 @@ def test_pres_dedup_edge_cases():
     R = ZMod(3, 2)
     one = np.array([[4], [10], [0]])
     assert Pres(R, 3, one).rels.tobytes() == (one % 9).tobytes()
-    assert Pres(R, 3, np.zeros((3, 1))).rels.shape == (3, 1)  # a single column is kept
+    # one zero column is dropped as two or more are
+    assert Pres(R, 3, np.zeros((3, 1))).rels.shape == (3, 0)
+    assert Pres(R, 3, np.full((3, 1), 9)).rels.shape == (3, 0)
     assert Pres(R, 3, np.zeros((3, 4))).rels.shape == (3, 0)
     for rels in (None, np.zeros((0, 0)), np.zeros((0, 5))):
         assert Pres(R, 0, rels).rels.shape == (0, 0)
+
+
+def test_pres_drops_a_lone_zero_relation_column():
+    # one column is normalized as two or more are: a zero relation says
+    # nothing, so (Z/8) modulo 0 has no relation column however it is given
+    R = ZMod(2, 3)
+    for rels in ([[0]], [[0, 0]], [[8]], [[0, 16, 0]]):
+        pres = Pres(R, 1, rels)
+        assert pres.rels.shape == (1, 0) and pres.exps == [3], rels
+    assert Pres(R, 1, [[12]]).rels.tolist() == [[4]]
 
 
 @PROPERTY
@@ -625,16 +635,65 @@ def test_matmul_at_q_7_pow_10_past_the_int64_bound():
 # one-sided transforms: each equals the full computation it replaces
 
 
+@st.composite
+def matrices_at_large_q(draw):
+    """(R, A) at q = 2^30 or 7^11, entries p^v * u with v <= m."""
+    R = draw(st.sampled_from([ZMod(2, 30), ZMod(7, 11)]))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = R.p ** rng.integers(0, R.m + 1, size=(rows, cols))
+    A = (vals * rng.integers(0, R.q, size=(rows, cols))) % R.q
+    return R, A * (rng.random((rows, cols)) < draw(st.sampled_from([0.2, 0.5, 1.0])))
+
+
+def _assert_inverse_read_off_the_elimination(A, R):
+    """U^-1 from `smith_normal_form`'s own row operations is the inverse
+    that a second factorization gives, whichever transforms are asked
+    for, and asking for it changes nothing else."""
+    U, V, exps = smith_normal_form(A, R)
+    U2, V2, exps2, Uinv = smith_normal_form(A, R, left_inverse=True)
+    assert exps2 == exps and U2.tobytes() == U.tobytes() and V2.tobytes() == V.tobytes()
+    assert Uinv.dtype == U.dtype and Uinv.shape == U.shape
+    assert np.array_equal(R.matmul(U, Uinv), R.eye(U.shape[0]))
+    # every column, so the ones `normal_basis` keeps too
+    assert Uinv.tobytes() == invert_unimodular(U, R).tobytes()
+    *_, alone = smith_normal_form(A, R, left=False, right=False, left_inverse=True)
+    assert alone.tobytes() == Uinv.tobytes()
+
+
 @PROPERTY
-@given(sparse_matrices(max_rows=40, square=True), st.integers(0, 2**32 - 1))
-def test_invert_unimodular_columns_equal_columns_of_the_inverse(case, seed):
-    R, A = case
-    U, _, _ = smith_normal_form(A, R)
-    rng = np.random.default_rng(seed)
-    keep = sorted(rng.choice(U.shape[0], size=rng.integers(0, U.shape[0] + 1), replace=False))
-    got, want = invert_unimodular(U, R, cols=keep), invert_unimodular(U, R)[:, keep]
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+@given(st.one_of(sparse_matrices(), matrices_at_large_q()))
+def test_snf_inverse_transform_equals_the_inverse_of_u(case):
+    _assert_inverse_read_off_the_elimination(case[1], case[0])
+
+
+@settings(PROPERTY, max_examples=3)
+@given(sparse_matrices(max_rows=250, max_cols=960, min_size=100, densities=(0.002, 0.005, 0.01)))
+@example(_star_level_matrix())
+def test_snf_inverse_transform_at_star_level_shapes(case):
+    _assert_inverse_read_off_the_elimination(case[1], case[0])
+
+
+def test_normal_basis_factors_each_presentation_once(monkeypatch):
+    # a fresh presentation is factored once for its normal form and its
+    # basis together; one already factored without the inverse once more
+    import raynaud.linalg as linalg
+
+    calls = []
+    snf = linalg.smith_normal_form
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda *a, **k: calls.append(k) or snf(*a, **k))
+    R = ZMod(3, 2)
+    rels = np.array([[3, 0, 1], [0, 0, 3], [1, 3, 0]])
+    gens, coords, sub = normal_basis(Pres(R, 3, rels))
+    assert len(calls) == 1 and calls[0]["left_inverse"]
+    cached = Pres(R, 3, rels)
+    cached.normal_form()
+    again = normal_basis(cached)
+    assert len(calls) == 3 and not calls[1]["left_inverse"] and calls[2]["left_inverse"]
+    normal_basis(cached)
+    assert len(calls) == 3
+    for a, b in zip((gens, coords, sub.rels), (again[0], again[1], again[2].rels)):
+        assert a.tobytes() == b.tobytes()
 
 
 def _kernel_into_then_slice(A, src, dst):

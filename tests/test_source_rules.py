@@ -165,6 +165,25 @@ def test_the_package_multiplies_only_through_zmod_matmul():
     assert not found, f"products outside ZMod.matmul: {found}"
 
 
+def test_only_linalg_forms_kronecker_products():
+    # ZMod.kron reduces both factors, so each entry is one product below
+    # q^2 < 2^62; a bare np.kron elsewhere could multiply unreduced entries
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "kron":
+                bare = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.ImportFrom):
+                bare = node.module == "numpy" and any(alias.name == "kron" for alias in node.names)
+            else:
+                continue
+            if bare:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"np.kron outside linalg: {found}"
+
+
 def test_the_package_does_not_use_numpy_random():
     # importing numpy.random costs every process about 11 ms and 6 MiB of
     # resident memory; the isomorphism search draws its random budget from

@@ -7,7 +7,7 @@ import pytest
 from raynaud.blocks import make_block, truncate
 from raynaud.homs import find_isomorphism
 from raynaud import linalg
-from raynaud.linalg import Pres, minimal_gens, quotient_by
+from raynaud.linalg import Pres, ZMod, minimal_gens, quotient_by
 from raynaud.rmod import ModelTower, Unstable, check_relations, condense_level, sub_level
 from raynaud.star import (
     ClosedFormInapplicable,
@@ -96,9 +96,9 @@ def test_condense_level_agrees_with_the_solved_route(p, a, b):
     assert check_relations(got, 2, 5).ok()
 
 
-def test_condense_level_runs_two_snfs_per_nonempty_grading(monkeypatch):
-    """One SNF for the grading's normal form and one for the inverse of
-    its transform; no span is presented and nothing is solved."""
+def test_condense_level_runs_one_snf_per_nonempty_grading(monkeypatch):
+    """One SNF per grading gives its normal form and the inverse of its
+    transform together; no span is presented and nothing is solved."""
     base = _star_base_level(*STAR_ORACLE_PAIRS[0])
     calls = []
     snf = linalg.smith_normal_form
@@ -110,7 +110,7 @@ def test_condense_level_runs_two_snfs_per_nonempty_grading(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", counted)
     condensed = condense_level(base)
     nonempty = [g for g in base.gradings() if base.piece(g).ngens]
-    assert nonempty and len(calls) == 2 * len(nonempty)
+    assert nonempty and len(calls) == len(nonempty)
     assert condensed.gradings() == base.gradings()
 
 
@@ -366,59 +366,210 @@ def test_derived_star_identification_explicit_at_full_level():
         assert phi is not None, f"no explicit iso for {which} at (2, 8)"
 
 
-def _dense_vec(model, g, *terms):
+class _PerTermStar:
+    """The per-term route `StarModel` was built by before its Kronecker
+    blocks, kept here as its oracle.  A term (kind, s, gm, x, gn, y, coeff)
+    stands for coeff * kind^s(x * y) with x, y coordinate vectors of M^gm
+    and N^gn, expanded bilinearly over the symbols ("g", s, gm, a, gn, b)
+    = V^s(x_a * y_b) and ("h", s, gm, a, gn, b) = dV^s(x_a * y_b), one
+    symbol at a time."""
+
+    def __init__(self, Mb, Nb, m, S):
+        self.Mb, self.S = Mb, S
+        R = self.R = ZMod(Mb.p, m)
+        self.LM, self.LN = Mb.tower.level(m, S), Nb.tower.level(m, S)
+        self.index, self.labels = {}, {}
+        for gm in Mb.tower.gradings():
+            for gn in Nb.tower.gradings():
+                for a in range(self.LM.piece(gm).ngens):
+                    for b in range(self.LN.piece(gn).ngens):
+                        for s in range(S):
+                            self._add(("g", s, gm, a, gn, b), gm + gn)
+                        for s in range(1, S):
+                            self._add(("h", s, gm, a, gn, b), gm + gn + 1)
+        self.sizes = {g: len(v) for g, v in self.labels.items()}
+        cols = {g: [] for g in self.labels}
+        for g, terms in self._relations(Mb, Nb):
+            col = self._coeffs(*terms)
+            if col:
+                cols[g].append(col)
+        self.rels = {}
+        for g, labs in self.labels.items():
+            rels = R.zeros(len(labs), len(cols[g]))
+            for c, col in enumerate(cols[g]):
+                rels[list(col), c] = list(col.values())
+            self.rels[g] = Pres(R, len(labs), rels).rels
+
+    def _add(self, key, g):
+        self.index[key] = (g, len(self.labels.setdefault(g, [])))
+        self.labels[g].append(key)
+
+    def _coeffs(self, *terms):
+        """A sum of terms as a {position: value} dict of its nonzero
+        coordinates; positions are those of the terms' own grading."""
+        q = self.R.q
+        acc = {}
+        for kind, s, gm, x, gn, y, coeff in terms:
+            ys = [(b, yv) for b, yv in enumerate(y.tolist()) if yv]
+            for a, xv in enumerate(x.tolist()):
+                if not xv:
+                    continue
+                for b, yv in ys:
+                    c = xv * yv * coeff % q
+                    if c:
+                        pos = self.index[(kind, s, gm, a, gn, b)][1]
+                        acc[pos] = (acc.get(pos, 0) + c) % q
+        return {pos: v for pos, v in acc.items() if v}
+
+    def vec(self, g, *terms):
+        """The coordinate vector at grading g of a sum of terms."""
+        vec = np.zeros(self.sizes.get(g, 0), dtype=np.int64)
+        col = self._coeffs(*terms)
+        vec[list(col)] = list(col.values())
+        return vec
+
+    def _d_terms(self, s, gm, x, gn, y, coeff):
+        if s >= 1:
+            return [("h", s, gm, x, gn, y, coeff)]
+        return [
+            ("g", 0, gm + 1, self.R.matmul(self.LM.d(gm), x), gn, y, coeff),
+            ("g", 0, gm, x, gn + 1, self.R.matmul(self.LN.d(gn), y), coeff * (-1) ** gm),
+        ]
+
+    def _relations(self, Mb, Nb):
+        LM, LN, S = self.LM, self.LN, self.S
+        for gm in Mb.tower.gradings():
+            IM = np.eye(LM.piece(gm).ngens, dtype=np.int64)
+            for gn in Nb.tower.gradings():
+                IN = np.eye(LN.piece(gn).ngens, dtype=np.int64)
+                g = gm + gn
+                for x, Vx, Fx in zip(IM.T, LM.V(gm).T, LM.F_lift(gm).T):
+                    for y, Vy, Fy in zip(IN.T, LN.V(gn).T, LN.F_lift(gn).T):
+                        for (x1, y1), (x2, y2) in (((x, Fy), (Vx, y)), ((Fx, y), (x, Vy))):
+                            for s in range(1, S):
+                                top, bot = (s, gm, x1, gn, y1, 1), (s - 1, gm, x2, gn, y2, -1)
+                                yield g, [("g", *top), ("g", *bot)]
+                                yield g + 1, self._d_terms(*top) + self._d_terms(*bot)
+                pairs = [(r, y) for r in LM.piece(gm).pres.rels.T for y in IN.T]
+                pairs += [(x, r) for r in LN.piece(gn).pres.rels.T for x in IM.T]
+                for x, y in pairs:
+                    for s in range(S):
+                        yield g, [("g", s, gm, x, gn, y, 1)]
+                        if s >= 1:
+                            yield g + 1, [("h", s, gm, x, gn, y, 1)]
+
+    def ops(self):
+        """V, d and the F-lift on the symbols."""
+        R, p, LM, LN = self.R, self.Mb.p, self.LM, self.LN
+        V = {g: R.zeros(k, k) for g, k in self.sizes.items()}
+        F = {g: R.zeros(k, k) for g, k in self.sizes.items()}
+        d = {g: R.zeros(self.sizes.get(g + 1, 0), k) for g, k in self.sizes.items()}
+        for (kind, s, gm, a, gn, b), (g, pos) in self.index.items():
+            x = np.eye(LM.piece(gm).ngens, dtype=np.int64)[a]
+            y = np.eye(LN.piece(gn).ngens, dtype=np.int64)[b]
+            up = self.index.get((kind, s + 1, gm, a, gn, b))
+            down = self.index.get((kind, s - 1, gm, a, gn, b))
+            if up is not None:
+                V[g][up[1], pos] = 1 if kind == "g" else p
+            if down is not None:
+                F[g][down[1], pos] = p if kind == "g" else 1
+            elif kind == "g":  # F(x * y) = F x * F y
+                Fx, Fy = LM.F_lift(gm)[:, a], LN.F_lift(gn)[:, b]
+                F[g][:, pos] = self.vec(g, ("g", 0, gm, Fx, gn, Fy, 1))
+            else:  # F(dV(x * y)) = d(x * y), the Leibniz expansion
+                F[g][:, pos] = self.vec(g, *self._d_terms(0, gm, x, gn, y, 1))
+            if kind == "g":
+                d[g][:, pos] = self.vec(g + 1, *self._d_terms(s, gm, x, gn, y, 1))
+        return V, d, F
+
+    def second_factor_map(self, fN):
+        out = {g: self.R.zeros(k, k) for g, k in self.sizes.items()}
+        for (kind, s, gm, a, gn, b), (g, pos) in self.index.items():
+            fcol = fN[gn][:, b]
+            for bb in np.nonzero(fcol)[0]:
+                _, pp = self.index[(kind, s, gm, a, gn, int(bb))]
+                out[g][pp, pos] = (out[g][pp, pos] + int(fcol[bb])) % self.R.q
+        return out
+
+
+def _dense_vec(oracle, g, *terms):
     """The reference expansion: a dense vector filled term by term over
     the nonzeros of the two factor vectors."""
-    q = model.R.q
-    vec = np.zeros(model.sizes.get(g, 0), dtype=np.int64)
+    q = oracle.R.q
+    vec = np.zeros(oracle.sizes.get(g, 0), dtype=np.int64)
     for kind, s, gm, x, gn, y, coeff in terms:
         for a in x.nonzero()[0]:
             for b in y.nonzero()[0]:
                 c = (int(x[a]) * int(y[b]) * coeff) % q
                 if c:
-                    pos = model.index[(kind, s, gm, int(a), gn, int(b))][1]
+                    pos = oracle.index[(kind, s, gm, int(a), gn, int(b))][1]
                     vec[pos] = (vec[pos] + c) % q
     return vec
 
 
-@pytest.mark.parametrize("mname, nname", [("Um1", "W"), ("U0", "k"), ("E", "k")])
-def test_star_model_matches_dense_relation_route(mname, nname, monkeypatch):
-    """`StarModel`'s relations (one scatter of {position: value} columns)
-    and operators equal those of the reference route byte for byte: a
-    dense `_dense_vec` per relation, the nonzero ones stacked."""
-    b = blocks()
-    model = StarModel(b[mname], b[nname], 3, 11)
-    cols = {g: [] for g in model.labels}
-    for g, terms in model._relations():
-        vec = _dense_vec(model, g, *terms)
-        if vec.any():
-            cols[g].append(vec)
-    monkeypatch.setattr(model, "_vec", lambda g, *terms: _dense_vec(model, g, *terms))
-    V, d, F = model._ops()
+# (p, first factor, second factor, m, S); U_0 * U_-1 has d != 0 on both factors
+STAR_MODEL_CASES = {
+    "Um1-W": (2, "Um1", "W", 3, 11),
+    "U0-k": (2, "U0", "k", 3, 11),
+    "E-k": (2, "E", "k", 3, 11),
+    "3-Um1-W": (3, "Um1", "W", 3, 11),
+    "E-E": (2, "E", "E", 3, 11),
+    "U0-Um1": (2, "U0", "Um1", 2, 5),
+    "3-U0-Um1": (3, "U0", "Um1", 2, 4),
+}
+
+
+@pytest.mark.parametrize("case", STAR_MODEL_CASES.values(), ids=STAR_MODEL_CASES.keys())
+def test_star_model_matches_dense_relation_route(case):
+    """`StarModel`'s Kronecker blocks give the labels, relations and
+    operators of the per-term route byte for byte."""
+    p, mname, nname, m, S = case
+    b = blocks(p)
+    model = StarModel(b[mname], b[nname], m, S)
+    oracle = _PerTermStar(b[mname], b[nname], m, S)
+    assert model.labels == oracle.labels
     L = model.model
-    for g, labs in model.labels.items():
-        ref = Pres(model.R, len(labs), np.stack(cols[g], axis=1) if cols[g] else None).rels
-        got = L.piece(g).pres.rels
+    assert L.gradings() == sorted(oracle.labels)
+    for g, (V, d, F) in zip(oracle.labels, zip(*(t.values() for t in oracle.ops()))):
+        got, ref = L.piece(g).pres.rels, oracle.rels[g]
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), g
-        for op, want in ((L.V(g), V[g]), (L.d(g), d[g]), (L.F_lift(g), F[g])):
+        for op, want in ((L.V(g), V), (L.d(g), d), (L.F_lift(g), F)):
             assert op.shape == want.shape and op.tobytes() == want.tobytes(), g
+
+
+@pytest.mark.parametrize("case", ["Um1-W", "E-E", "U0-Um1", "3-U0-Um1"])
+def test_second_factor_map_matches_the_per_symbol_route(case):
+    # entries outside [0, q), negative ones included, must come out reduced
+    p, mname, nname, m, S = STAR_MODEL_CASES[case]
+    b = blocks(p)
+    model = StarModel(b[mname], b[nname], m, S)
+    oracle = _PerTermStar(b[mname], b[nname], m, S)
+    rng = np.random.default_rng(0)
+    fN = {}
+    for gn in b[nname].tower.gradings():
+        k = model.LN.piece(gn).ngens
+        fN[gn] = rng.integers(-2 * model.R.q, 2 * model.R.q, size=(k, k)) * (rng.random((k, k)) < 0.4)
+    got, want = model.second_factor_map(fN), oracle.second_factor_map(fN)
+    assert got.keys() == want.keys()
+    for g in want:
+        assert got[g].shape == want[g].shape and got[g].tobytes() == want[g].tobytes(), g
 
 
 def test_star_model_sums_cancel_entry_by_entry():
     """A sum whose terms cancel in one coordinate and add up in another:
-    `_coeffs` keeps exactly the nonzero entries of the reference vector
-    (a dropped or double-counted entry differs), and a sum that cancels
-    completely is the empty dict."""
+    the per-term oracle's expansion keeps exactly the nonzero entries of
+    the reference vector (a dropped or double-counted entry differs), and
+    a sum that cancels completely is the empty dict."""
     b = blocks()
-    model = StarModel(b["U0"], b["k"], 3, 11)
-    e0, e1, e2 = np.eye(model.LM.piece(0).ngens, dtype=np.int64)[:3]
-    y = np.eye(model.LN.piece(0).ngens, dtype=np.int64)[0]
+    oracle = _PerTermStar(b["U0"], b["k"], 3, 11)
+    e0, e1, e2 = np.eye(oracle.LM.piece(0).ngens, dtype=np.int64)[:3]
+    y = np.eye(oracle.LN.piece(0).ngens, dtype=np.int64)[0]
     # (e0 + e1) * y - e1 * y + 3 (e2 * y) = e0 * y + 3 (e2 * y)
     terms = [("g", 1, 0, e0 + e1, 0, y, 1), ("g", 1, 0, e1, 0, y, -1), ("g", 1, 0, e2, 0, y, 3)]
-    ref = _dense_vec(model, 0, *terms)
-    col = model._coeffs(*terms)
+    ref = _dense_vec(oracle, 0, *terms)
+    col = oracle._coeffs(*terms)
     assert sorted(col.values()) == [1, 3]
     assert col == {int(i): int(ref[i]) for i in ref.nonzero()[0]}
-    assert model._vec(0, *terms).tobytes() == ref.tobytes()
-    cancel = [("g", 1, 0, e0 + e1, 0, y, 1), ("g", 1, 0, e0 + e1, 0, y, model.R.q - 1)]
-    assert model._coeffs(*cancel) == {} and not _dense_vec(model, 0, *cancel).any()
+    assert oracle.vec(0, *terms).tobytes() == ref.tobytes()
+    cancel = [("g", 1, 0, e0 + e1, 0, y, 1), ("g", 1, 0, e0 + e1, 0, y, oracle.R.q - 1)]
+    assert oracle._coeffs(*cancel) == {} and not _dense_vec(oracle, 0, *cancel).any()
