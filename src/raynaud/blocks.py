@@ -2,7 +2,8 @@
 
 Kinds:
 
-* ``UnitW``      -- W(k) in grading 0, F and V the Witt operators, d = 0.
+* ``UnitW``      -- W(k) in grading 0, F and V the Witt operators, d = 0:
+                    the block ``Dieudonne(1, 0)`` under the label W.
 * ``ResidueK``   -- k with bijective Frobenius, V = 0, d = 0.
 * ``DAlphaP``    -- k with F = V = d = 0 (the Dieudonne module of alpha_p).
 * ``Domino(t)``  -- the elementary domino U_t on gradings 0, 1:
@@ -14,16 +15,13 @@ Kinds:
 * ``FiniteLength`` -- an explicit finite model supplied by the caller.
 
 At r > 1 every generator label of a tower expands into r coordinates.
-Each block carries its tower, the V-depth its invariants need to
-stabilize, and its slope multiset.  The package reads the slopes
-only in `invariants.newton_slopes` at r > 1, where they are a recorded
-input rather than a computation.
+Each block carries its tower and the V-depth its invariants need to
+stabilize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -40,21 +38,6 @@ def _sigma_blocks(p, r, m):
         return one, one
     gr = GaloisRing(p, r, m)
     return gr.sigma_matrix(), gr.sigma_matrix(inverse=True)
-
-
-class UnitWTower(Tower):
-    def gradings(self):
-        return [0]
-
-    def _build(self, m, n):
-        R = ZMod(self.p, m)
-        sig, sig_inv = _sigma_blocks(self.p, self.r, m)
-        s = min(m, n)
-        rels = (self.p**s * R.eye(self.r)) % R.q
-        pieces = {0: LevelPiece([("w", c) for c in range(self.r)], Pres(R, self.r, rels))}
-        V = {0: (self.p * sig_inv) % R.q}
-        F = {0: sig % R.q}
-        return Level(R, n, pieces, V, {}, F, r=self.r)
 
 
 class ResidueKTower(Tower):
@@ -148,7 +131,8 @@ class DieudonneTower(Tower):
             return j + s - 1  # 1 <= s <= i
 
         if j == 0:
-            # forced (i, j) = (1, 0): the unit block W
+            # forced (i, j) = (1, 0): the unit block W.  The general rule
+            # below would write F[e(-1), f(1)] = p over F[0, 0] = 1
             F[0, 0] = 1
             V[0, 0] = p % q
             return F, V
@@ -176,7 +160,6 @@ class DieudonneTower(Tower):
         Vm = R.kron(Vc, sig_inv)
         h = (self.i + self.j) * self.r
         rels = mat_pow_mod(Vm, n, R)
-        rels = rels[:, rels.any(axis=0)]
         labels = [("b", s, c) for s in range(self.i + self.j) for c in range(self.r)]
         pieces = {0: LevelPiece(labels, Pres(R, h, rels))}
         return Level(R, n, pieces, {0: Vm}, {}, {0: Fm}, r=self.r)
@@ -207,14 +190,13 @@ class FiniteLengthTower(Tower):
 
 @dataclass
 class BlockModule:
-    """A named block with its tower, stabilization depth and slopes."""
+    """A named block with its tower and stabilization depth."""
 
     kind: str
     params: dict
     p: int
     r: int
     tower: Tower
-    slopes: dict = field(default_factory=dict)  # Fraction -> multiplicity
     stabilization: int = 2
 
     def label(self):
@@ -231,7 +213,7 @@ class BlockModule:
 
 _BLOCK_INSTANCES = {}
 _BLOCK_KEYS = {"UnitW": (), "ResidueK": (), "DAlphaP": (), "Domino": ("t",)}
-_BLOCK_KEYS.update(Dieudonne=("i", "j"), FiniteLength=("model", "slopes", "stabilization"))
+_BLOCK_KEYS.update(Dieudonne=("i", "j"), FiniteLength=("model", "stabilization"))
 
 
 def require_int(name, value) -> int:
@@ -263,7 +245,7 @@ def make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
 
 def _make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     if kind == "UnitW":
-        return BlockModule(kind, {}, p, r, UnitWTower(p, r), slopes={Fraction(0): 1})
+        return BlockModule(kind, {}, p, r, DieudonneTower(p, 1, 0, r))
     if kind == "ResidueK":
         return BlockModule(kind, {}, p, r, ResidueKTower(p, r))
     if kind == "DAlphaP":
@@ -274,13 +256,12 @@ def _make_block(kind: str, p: int, r: int = 1, **params) -> BlockModule:
     if kind == "Dieudonne":
         i, j = params["i"], params["j"]
         tower = DieudonneTower(p, i, j, r)  # validates coprimality
-        slopes = {Fraction(j, i + j): i + j}
-        return BlockModule(kind, {"i": i, "j": j}, p, r, tower, slopes, stabilization=i + j + 1)
+        return BlockModule(kind, {"i": i, "j": j}, p, r, tower, stabilization=i + j + 1)
     if kind == "FiniteLength":
         model = params["model"]
         stabilization = params.get("stabilization", max(3, model.n))
         tower = FiniteLengthTower(model, p, r)
-        return BlockModule(kind, {}, p, r, tower, params.get("slopes", {}), stabilization)
+        return BlockModule(kind, {}, p, r, tower, stabilization)
     raise ValueError(f"unknown block kind {kind!r}")
 
 

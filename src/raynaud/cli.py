@@ -16,9 +16,9 @@ Subcommands:
 Exit codes: 0 success; 1 invariant violation, failed check, or an
 inapplicable closed form; 2 parse error, an out-of-range prime,
 precision or V-depth, a degree bound below 0, or a working precision
-past `ZMod`'s int64 limit ((p^m)^2 < 2^62; 11 at p = 7); 3
-non-stabilization.  JSON output has sorted keys, so identical inputs
-give identical bytes.
+past `ZMod`'s int64 limit ((p^m)^2 < 2^62; 11 at p = 7; slopes at
+r > 1 work at r times the requested precision); 3 non-stabilization.
+JSON output has sorted keys, so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ def build_parser():
     ck.add_argument("spec")
     ck.add_argument("--pure-dimension", type=int, default=None, help="N for Serre symmetry")
     _common_flags(ck)
+    ap.set_defaults(spec_r=1)  # the r of the loaded spec, named when a precision is refused
     return ap
 
 
@@ -108,6 +109,7 @@ def _load_object(path, args):
     _check_prime(obj.p)
     if not 1 <= obj.r <= 4:
         raise SpecError("r is limited to 1..4")
+    args.spec_r = obj.r
     return obj
 
 
@@ -279,8 +281,12 @@ def main(argv=None) -> int:
             return cmd_report(args)
         if args.command == "check":
             return cmd_check(args)
-    except (SpecError, PrecisionOutOfRange) as exc:
+    except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except PrecisionOutOfRange as exc:
+        at_r = f" at r = {args.spec_r}" if args.spec_r > 1 else ""
+        print(f"spec error: {exc} (requested --precision {args.precision}{at_r})", file=sys.stderr)
         return EXIT_PARSE
     except Unstable as exc:
         print(f"non-stabilization: {exc}", file=sys.stderr)

@@ -240,7 +240,14 @@ def newton_slopes_from_charpoly(coeffs, R: ZMod):
 
 
 def _slope_depth(block: BlockModule, m):
-    """V-depth needed so the heart's free part reaches full precision."""
+    """V-depth needed so the heart's free part reaches full precision.
+
+    On a Dieudonne block V^(i+j) is p^i times a unit, so depth n holds
+    the free part to about p^(n i / (i + j)) only: the generic rule
+    falls short of p^m, and depth m (i + j) reaches it.  Without this
+    case E_{1/2} at r = 2 reads no slope and E_{2/3} at r = 1 raises
+    Unstable.
+    """
     if block.kind == "Dieudonne":
         i, j = block.params["i"], block.params["j"]
         return m * (i + j) + 2
@@ -254,16 +261,18 @@ def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
     n-1 come from the same lift, so the matrix of F between them is the
     matrix of the limit Frobenius mod p^(m); its Newton polygon gives
     the slopes, certified against the working precision.
+
+    At r > 1, F is Z_p-linear on the expanded module of rank h r, and
+    its slopes are the Dieudonne slopes, each repeated r times (Manin
+    1963; Katz, Asterisque 63, 1979).  The determinant's valuation
+    grows r-fold with them, so the polygon is taken at precision m r
+    and each multiplicity divided by r.
     """
 
     def compute():
-        if block.r > 1:
-            if block.slopes or block.kind in ("ResidueK", "DAlphaP", "Domino"):
-                return sorted((block.slopes or {}).items()) if i == 0 else []
-            raise Unstable("unsupported: supply slope metadata for r > 1")
-        cfg2 = InvariantConfig(cfg.m, max(cfg.n, _slope_depth(block, cfg.m)), cfg.steps)
-        data = coeur(block, i, cfg2)
-        m = cfg2.m
+        r = block.r
+        m = cfg.m * r
+        data = coeur(block, i, InvariantConfig(m, max(cfg.n, _slope_depth(block, m)), cfg.steps))
         if data["gens"].shape[1] == 0 or data["free_rank"] == 0:
             return []
         Fmat = data["frobenius"]
@@ -278,7 +287,9 @@ def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
         out = {}
         for x in lam:
             out[x] = out.get(x, 0) + 1
-        return sorted(out.items())
+        if any(mult % r for mult in out.values()):
+            raise Unstable(f"slope multiplicities {sorted(out.values())} not divisible by r = {r}")
+        return sorted((x, mult // r) for x, mult in out.items())
 
     return _cached(block, cfg, ("slopes", i), compute)
 

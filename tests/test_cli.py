@@ -102,7 +102,30 @@ def test_invariants_past_the_int64_precision_exit_2(name, precision, specs, caps
     )
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["spec error: precision 12 at p = 7 exceeds 11, the int64 limit"]
+    assert err.splitlines() == [
+        "spec error: precision 12 at p = 7 exceeds 11, the int64 limit"
+        f" (requested --precision {precision})"
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, r, precision, working",
+    [(7, 2, "5", 12), (7, 3, "4", 12), (7, 4, "3", 12), (5, 3, "4", 14)],
+)
+def test_r_fold_slope_precision_past_the_int64_limit_exit_2(
+    p, r, precision, working, tmp_path, capsys
+):
+    # slopes at r > 1 are computed at precision m r, stabilized two above
+    spec = tmp_path / "e12.json"
+    block = {"kind": "Dieudonne", "i": 1, "j": 1}
+    spec.write_text(json.dumps({"p": p, "r": r, "object": [{"block": block}]}))
+    code, out, err = run_cli(["invariants", str(spec), "--precision", precision], capsys)
+    assert code == 2 and out == ""
+    top = {5: 13, 7: 11}[p]
+    assert err.splitlines() == [
+        f"spec error: precision {working} at p = {p} exceeds {top}, the int64 limit"
+        f" (requested --precision {precision} at r = {r})"
+    ]
 
 
 def test_invariants_at_p_7_multiply_past_the_int64_bound_exactly(specs, capsys, monkeypatch):
@@ -144,7 +167,7 @@ def test_unread_block_key_exits_2_and_caches_no_block(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.splitlines() == ["spec error: bad block 'UnitW': UnitW does not read t, typo"]
     assert len(blocks._BLOCK_INSTANCES) == cached
-    # FiniteLength reads model, slopes and stabilization only
+    # FiniteLength reads model and stabilization only
     with pytest.raises(ValueError, match="FiniteLength does not read dominoes"):
         blocks.make_block("FiniteLength", 2, model=None, dominoes={})
 

@@ -19,16 +19,18 @@ from raynaud.invariants import (
 )
 from raynaud.linalg import Pres, ZMod, smith_normal_form
 from raynaud.rmod import Level, LevelPiece, check_relations
-from raynaud.witt import FiniteField
+from raynaud.witt import FiniteField, GaloisRing
 
 
-def finite_length_block(p=2):
-    """A length-two Dieudonne module with nilpotent F and V = d = 0."""
+def finite_length_block(p=2, r=1):
+    """A length-two Dieudonne module with nilpotent F and V = d = 0, each
+    generator expanded into r coordinates with F semilinear on them."""
     R = ZMod(p, 2)
-    F = np.array([[0, 0], [1, 0]], dtype=np.int64)
-    pieces = {0: LevelPiece([("x", 0), ("x", 1)], Pres(R, 2, (p * R.eye(2)) % R.q))}
-    model = Level(R, 2, pieces, {0: R.zeros(2, 2)}, {}, {0: F}, r=1)
-    return make_block("FiniteLength", p, model=model, slopes={})
+    F = R.kron(np.array([[0, 0], [1, 0]], dtype=np.int64), GaloisRing(p, r, 2).sigma_matrix())
+    labels = [("x", s, c) for s in range(2) for c in range(r)]
+    pieces = {0: LevelPiece(labels, Pres(R, 2 * r, (p * R.eye(2 * r)) % R.q))}
+    model = Level(R, 2, pieces, {0: R.zeros(2 * r, 2 * r)}, {}, {0: F}, r=r)
+    return make_block("FiniteLength", p, r=r, model=model)
 
 
 def test_finite_length_block_relations_and_invariants():
@@ -55,7 +57,7 @@ def test_projection_refuses_repeated_labels():
     F = np.array([[0, 0], [1, 0]], dtype=np.int64)
     pieces = {0: LevelPiece([("x", 0), ("x", 0)], Pres(R, 2, (2 * R.eye(2)) % R.q))}
     model = Level(R, 2, pieces, {0: R.zeros(2, 2)}, {}, {0: F}, r=1)
-    tower = make_block("FiniteLength", 2, model=model, slopes={}).tower
+    tower = make_block("FiniteLength", 2, model=model).tower
     with pytest.raises(ValueError, match="repeats a generator label"):
         tower.proj(0, (2, 4), (2, 3))
 
@@ -105,12 +107,20 @@ def test_zmod_overflow_guard():
     ZMod(7, 8)  # the documented bound is fine
 
 
-def test_r2_slopes_come_from_metadata():
+def test_r2_slopes_are_computed():
     from fractions import Fraction
 
     b = make_block("Dieudonne", 2, r=2, i=1, j=1)
     cfg = InvariantConfig(3, 8, 3)
     assert newton_slopes(b, 0, cfg) == [(Fraction(1, 2), 2)]
+    # a custom block answers at r = 2 as well (a torsion heart, no slope),
+    # and slopes are not one of its inputs
+    fl = finite_length_block(r=2)
+    assert newton_slopes(fl, 0, cfg) == []
+    table = hodge_witt_numbers(FormalObject(2, 2, [Summand(fl, 0, 0)]), cfg)
+    assert table.h[(0, 0)] == 2 and not any(table.m.values())
+    with pytest.raises(ValueError, match="FiniteLength does not read slopes"):
+        make_block("FiniteLength", 2, r=2, model=None, slopes={})
 
 
 def test_newton_polygon_respects_large_shifts():

@@ -160,16 +160,31 @@ def test_newton_slopes(kind, params, expect):
     assert newton_slopes(b, 0, CFG) == expect
 
 
+# The slopes (slope -> multiplicity, at grading 0) and domino numbers
+# (grading -> T) of each built-in block, read off its definition rather
+# than computed: E_{j/(i+j)} has the one slope j/(i+j), i + j times; W is
+# E_0, slope 0 once; k, D(alpha_p) and the dominoes have a torsion heart,
+# so no slope (Manin's classification).  The package keeps no such table.
+BLOCK_ORACLE = [
+    ("UnitW", {}, {Fraction(0): 1}, {}),
+    ("ResidueK", {}, {}, {}),
+    ("DAlphaP", {}, {}, {}),
+    ("Domino", {"t": 0}, {}, {0: 1}),
+    ("Domino", {"t": -1}, {}, {0: 1}),
+    ("Dieudonne", {"i": 1, "j": 1}, {Fraction(1, 2): 2}, {}),
+    ("Dieudonne", {"i": 2, "j": 1}, {Fraction(1, 3): 3}, {}),
+    ("Dieudonne", {"i": 1, "j": 2}, {Fraction(2, 3): 3}, {}),
+]
+
+
 def test_newton_slopes_match_block_metadata():
-    for kind, params in [
-        ("UnitW", {}),
-        ("Dieudonne", {"i": 1, "j": 1}),
-        ("Dieudonne", {"i": 2, "j": 1}),
-        ("Dieudonne", {"i": 1, "j": 2}),
-    ]:
-        b = make_block(kind, 3, **params)
-        computed = dict(newton_slopes(b, 0, CFG))
-        assert computed == b.slopes
+    # every block at p in {2, 3}, r in {1, 2}; the isoclinic ones at r = 3
+    cases = [(p, r, entry) for p in (2, 3) for r in (1, 2) for entry in BLOCK_ORACLE]
+    cases += [(2, 3, e) for e in BLOCK_ORACLE if e[0] in ("UnitW", "Dieudonne")]
+    for p, r, (kind, params, slopes, _) in cases:
+        b = make_block(kind, p, r=r, **params)
+        for g in b.tower.gradings():
+            assert dict(newton_slopes(b, g, CFG)) == (slopes if g == 0 else {}), (p, r, b)
 
 
 @pytest.mark.parametrize(
@@ -321,22 +336,18 @@ def test_stability_across_working_levels():
 
 
 def test_block_metadata_agrees_with_computed_invariants():
-    # the declared slope multisets and the domino counts of this table
-    # (grading -> count) match the honest computations on truncations at
-    # the declared stabilization level
-    for kind, params, dominoes in [
-        ("UnitW", {}, {}),
-        ("ResidueK", {}, {}),
-        ("DAlphaP", {}, {}),
-        ("Domino", {"t": 0}, {0: 1}),
-        ("Domino", {"t": -1}, {0: 1}),
-        ("Dieudonne", {"i": 1, "j": 1}, {}),
-        ("Dieudonne", {"i": 2, "j": 1}, {}),
-    ]:
-        b = make_block(kind, 2, **params)
-        assert dict(newton_slopes(b, 0, CFG)) == b.slopes, b.label()
-        for g in b.tower.gradings():
-            assert domino_number(b, g, CFG) == dominoes.get(g, 0), b.label()
+    # the oracle's domino numbers, and the slope numbers its slopes give,
+    # m^{0,0} = sum (1 - l) mult_l and m^{1,-1} = sum l mult_l, match the
+    # computations at the block's stabilization level, at r = 1 and 2
+    for r in (1, 2):
+        for kind, params, slopes, dominoes in BLOCK_ORACLE:
+            b = make_block(kind, 2, r=r, **params)
+            for g in b.tower.gradings():
+                assert domino_number(b, g, CFG) == dominoes.get(g, 0), b
+            m = {(0, 0): sum((1 - lam) * mu for lam, mu in slopes.items())}
+            m[(1, -1)] = sum(lam * mu for lam, mu in slopes.items())
+            X = FormalObject.of_blocks(2, r, (b, 0, 0))
+            assert slope_numbers(X, CFG) == {c: v for c, v in m.items() if v}, b
 
 
 def _v_infty_z_every_step(tower, i, m, n):

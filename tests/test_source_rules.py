@@ -261,3 +261,15 @@ def test_only_linalg_calls_smith_normal_form():
         if name == "smith_normal_form"
     ]
     assert not found, f"smith_normal_form referenced outside linalg: {found}"
+
+
+def test_no_slope_is_read_from_block_metadata():
+    # every slope in an output comes from a Newton polygon the package
+    # computed; no `x.slopes` attribute is read anywhere in it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "slopes"
+    ]
+    assert not found, f"slopes read as an attribute: {found}"
