@@ -59,9 +59,9 @@ class PipelineConfig:
     mode: str = "paper-nonsplit"
 
     def cell_level(self):
-        """Working level for cell computations; all cells stabilize well
-        below the default truncation and the double-step rule certifies
-        independence of the requested (m, n)."""
+        """Working level for cell computations: the requested (m, n)
+        clamped to at most (3, 8).  The cells are computed at the clamped
+        level; nothing checks that the requested one gives the same."""
         return min(self.m, 3), min(self.n, 8)
 
 

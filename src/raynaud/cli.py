@@ -15,9 +15,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 invariant violation, failed check, or an
 inapplicable closed form; 2 parse error, an out-of-range prime,
-precision or V-depth, a degree bound below 0, or a working precision
-past `ZMod`'s int64 limit ((p^m)^2 < 2^62; 11 at p = 7; slopes at
-r > 1 work at r times the requested precision); 3 non-stabilization.
+precision or V-depth, a degree bound below 0, a star spec at r > 1,
+or a working precision past `ZMod`'s int64 limit ((p^m)^2 < 2^62; 11
+at p = 7; slopes at r > 1 work at r times the requested precision);
+3 non-stabilization.
 JSON output has sorted keys, so identical inputs give identical bytes.
 """
 
@@ -130,6 +131,8 @@ def _check_truncation(args):
 def _single_block(obj: FormalObject):
     if len(obj.summands) != 1 or obj.summands[0].i or obj.summands[0].j:
         raise SpecError("star expects a spec with exactly one unshifted block")
+    if obj.r != 1:
+        raise SpecError(f"star is implemented for r = 1, got r = {obj.r}")
     return obj.summands[0].block
 
 

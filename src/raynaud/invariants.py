@@ -57,6 +57,30 @@ class InvariantConfig:
 
 DEFAULT_CONFIG = InvariantConfig()
 
+
+def route_config(block: BlockModule, cfg, route):
+    """The config whose (m, n) is the base level at which `route`
+    computes `block` when `cfg` is requested.
+
+    "heart" (hearts, domino numbers, totalization) raises the V-depth to
+    the block's stabilization depth plus two.  "slopes" works at
+    precision m r and depth m + 2, so that the heart's free part reaches
+    full precision; on a Dieudonne block V^(i+j) is p^i times a unit, so
+    that takes depth m (i + j) + 2 (without it E_{1/2} at r = 2 reads no
+    slope and E_{2/3} at r = 1 raises Unstable).  "hodge" needs n >= 4,
+    and m >= 2 to exhibit W_1-level structure.  Chain levels (m + k,
+    n + k) and totalization's comparison precision m + 1 are not counted.
+    """
+    if route == "slopes":
+        m, params = cfg.m * block.r, block.params
+        depth = m * (params["i"] + params["j"]) + 2 if block.kind == "Dieudonne" else m + 2
+        cfg = InvariantConfig(m, max(cfg.n, depth), cfg.steps)
+    cfg = cfg.require(block.stabilization + 2)
+    if route == "hodge":
+        return InvariantConfig(max(cfg.m, 2), max(cfg.n, 4), cfg.steps)
+    return cfg
+
+
 _BLOCK_CACHE = {}
 
 
@@ -150,7 +174,7 @@ def coeur(block: BlockModule, i, cfg=DEFAULT_CONFIG):
     """
 
     def compute():
-        cfg2 = cfg.require(block.stabilization + 2)
+        cfg2 = route_config(block, cfg, "heart")
         tower = block.tower
         m, n = cfg2.m, cfg2.n
         base = tower.level(m, n).piece(i).pres
@@ -195,8 +219,7 @@ def domino_number(block: BlockModule, i, cfg=DEFAULT_CONFIG) -> int:
     """T^i = dim_k M^i / (V^{-inf}Z^i + V M^i), stabilized."""
 
     def compute():
-        cfg2 = cfg.require(block.stabilization + 2)
-        return domino_number_tower(block.tower, i, cfg2, r=block.r)
+        return domino_number_tower(block.tower, i, route_config(block, cfg, "heart"), r=block.r)
 
     return _cached(block, cfg, ("T", i), compute)
 
@@ -239,21 +262,6 @@ def newton_slopes_from_charpoly(coeffs, R: ZMod):
     return slopes
 
 
-def _slope_depth(block: BlockModule, m):
-    """V-depth needed so the heart's free part reaches full precision.
-
-    On a Dieudonne block V^(i+j) is p^i times a unit, so depth n holds
-    the free part to about p^(n i / (i + j)) only: the generic rule
-    falls short of p^m, and depth m (i + j) reaches it.  Without this
-    case E_{1/2} at r = 2 reads no slope and E_{2/3} at r = 1 raises
-    Unstable.
-    """
-    if block.kind == "Dieudonne":
-        i, j = block.params["i"], block.params["j"]
-        return m * (i + j) + 2
-    return max(m + 2, block.stabilization + 2)
-
-
 def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
     """Slope multiset of F on the free part of the heart at grading i.
 
@@ -271,8 +279,8 @@ def newton_slopes(block: BlockModule, i, cfg=DEFAULT_CONFIG):
 
     def compute():
         r = block.r
-        m = cfg.m * r
-        data = coeur(block, i, InvariantConfig(m, max(cfg.n, _slope_depth(block, m)), cfg.steps))
+        slope_cfg = route_config(block, cfg, "slopes")
+        data, m = coeur(block, i, slope_cfg), slope_cfg.m
         if data["gens"].shape[1] == 0 or data["free_rank"] == 0:
             return []
         Fmat = data["frobenius"]
@@ -303,10 +311,9 @@ def rn_tensor_block(block: BlockModule, cfg=DEFAULT_CONFIG):
     (grading, degree) -> exponents, for the nonzero entries."""
 
     def compute():
-        cfg2 = cfg.require(max(block.stabilization + 2, 3))
+        cfg2 = route_config(block, cfg, "hodge")
         tower = block.tower
-        # exhibiting W_1-level structure needs coefficient precision > 1
-        m, n = max(cfg2.m, 2), max(cfg2.n, 4)
+        m, n = cfg2.m, cfg2.n
         entries = {}
         gradings = set(tower.gradings()) | {g + 1 for g in tower.gradings()}
         for g in sorted(gradings):
@@ -439,13 +446,13 @@ def slope_numbers(X: FormalObject, cfg=DEFAULT_CONFIG):
 class InvariantTable:
     """The (i, j)-indexed record of h, h_W, T, m plus per-degree data.
 
-    `depth` is the V-depth the computation used: each block raises the
-    requested one to at least its stabilization depth plus two
-    (`InvariantConfig.require`).  Where that exceeds the stamped
-    truncation, the JSON says so in `effective_level`.
+    `level` is the deepest (m, n) the computation used, each coordinate
+    the largest over the summands' routes (`route_config`).  Where it
+    exceeds the stamped truncation, the JSON says so in
+    `effective_level`.
     """
 
-    def __init__(self, h, hW, T, mvals, newton, newton_hodge, betti, config, depth):
+    def __init__(self, h, hW, T, mvals, newton, newton_hodge, betti, config, level):
         self.h = h
         self.hW = hW
         self.T = T
@@ -454,7 +461,7 @@ class InvariantTable:
         self.newton_hodge = newton_hodge
         self.betti = betti
         self.config = config
-        self.depth = depth
+        self.level = level
 
     def to_json(self):
         def num(x):
@@ -476,8 +483,8 @@ class InvariantTable:
             "betti": {str(nn): int(v) for nn, v in sorted(self.betti.items())},
             "truncation": {"m": self.config.m, "n": self.config.n},
         }
-        if self.depth != self.config.n:
-            payload["effective_level"] = {"m": self.config.m, "n": self.depth}
+        if self.level != (self.config.m, self.config.n):
+            payload["effective_level"] = {"m": self.level[0], "n": self.level[1]}
         return json.dumps(payload, sort_keys=True)
 
     def to_markdown(self):
@@ -525,8 +532,9 @@ def hodge_witt_numbers(X: FormalObject, cfg=DEFAULT_CONFIG) -> InvariantTable:
     tot = totalize(X, cfg.m, cfg)
     for ndeg, data in tot.items():
         betti[ndeg] = data["betti"]
-    depth = max([cfg.require(s.block.stabilization + 2).n for s in X.summands], default=cfg.n)
-    return InvariantTable(h, hW, T, mvals, newton, nh, betti, cfg, depth)
+    used = [route_config(s.block, cfg, r) for s in X.summands for r in ("heart", "slopes", "hodge")]
+    level = (max([c.m for c in used], default=cfg.m), max([c.n for c in used], default=cfg.n))
+    return InvariantTable(h, hW, T, mvals, newton, nh, betti, cfg, level)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +560,7 @@ def totalize(X: FormalObject, precision, cfg=DEFAULT_CONFIG):
 
 def _block_totalization(block: BlockModule, precision, cfg):
     def compute():
-        cfg2 = cfg.require(block.stabilization + 2)
+        cfg2 = route_config(block, cfg, "heart")
         tower = block.tower
         n = cfg2.n
         out = {}

@@ -8,10 +8,10 @@ and a division-free characteristic polynomial.  `smith_normal_form` is
 the only elimination: inverses (`invert_unimodular`), kernels
 (`kernel_gens`), solves (`LinearSolver`) and membership
 (`Pres.element_is_zero`, on the presentation's cached normal form) all
-read its transforms.  It can also return U^-1, built by the inverse
-column operations of the same elimination; `normal_basis` reads its
-generators there, so a presentation is factored once for its normal
-form and basis together.
+read its transforms.  It also returns U^-1, from the inverse column
+operations of the same elimination: a `Pres` is factored once, with
+U^-1 kept on its nonzero cyclic factors only, and every question about
+it (`normal_basis` included) reads that factorization.
 
 This module is the one builder of presentations: `Pres.direct_sum`
 (over `blockdiag`) is the only direct sum of presented modules, and
@@ -383,10 +383,11 @@ class Pres:
     Relations are stored reduced mod p^m, sorted lexicographically (row
     0 first) with duplicate and zero columns dropped: the nonzero columns
     `np.unique(axis=1)` would keep, however many columns were given.  The
-    normal form (exponents of the cyclic decomposition, with basis
-    transform) is computed lazily, and so is the inverse of its transform
-    (`normal_basis`).  The implicit lattice p^m * (every generator) is
-    always part of the relations.
+    module is factored once, lazily, by the first `normal_form()` call:
+    `_nf` caches (exps, U, gens), the exponents of the cyclic
+    decomposition, the basis transform U and the columns of U^-1 on the
+    nonzero factors (not the whole inverse).  The implicit lattice
+    p^m * (every generator) is always part of the relations.
     """
 
     __slots__ = ("R", "ngens", "rels", "_nf")
@@ -421,20 +422,17 @@ class Pres:
         """(exps, P): exps[i] = annihilator exponent of the i-th new
         generator; x_new = P x_old diagonalizes the relation lattice."""
         if self._nf is None:
-            self._factor(inverse=False)
+            R, n = self.R, self.ngens
+            if self.rels.shape[1] == 0:
+                U = Uinv = R.eye(n)
+                exps = [R.m] * n
+            else:
+                U, _, sexps, Uinv = smith_normal_form(self.rels, R, right=False, left_inverse=True)
+                exps = sexps + [R.m] * (n - len(sexps))
+            gens = Uinv[:, [t for t, e in enumerate(exps) if e > 0]]
+            gens.flags.writeable = False  # `normal_basis` hands out this array itself
+            self._nf = (exps, U, gens)
         return self._nf[:2]
-
-    def _factor(self, inverse):
-        """Cache (exps, P, P^-1), P^-1 None unless `inverse` asks for it."""
-        R, n = self.R, self.ngens
-        if self.rels.shape[1] == 0:
-            self._nf = ([R.m] * n, R.eye(n), R.eye(n))
-            return
-        U, _, sexps, *Uinv = smith_normal_form(self.rels, R, right=False, left_inverse=inverse)
-        exps = [R.m] * n
-        for t, e in enumerate(sexps):
-            exps[t] = min(e, R.m)
-        self._nf = (exps, U, Uinv[0] if inverse else None)
 
     @property
     def exps(self):
@@ -456,13 +454,7 @@ class Pres:
         return sorted(e for e in self.exps if e > 0)
 
     def is_zero(self) -> bool:
-        if self._nf is not None:
-            return all(e == 0 for e in self._nf[0])
-        # Nakayama over the local ring Z/p^m: the module is zero iff it is
-        # zero mod p, i.e. iff rels mod p has full row rank over F_p.  The
-        # implicit lattice p^m * (every generator) vanishes mod p.
-        _, _, exps = smith_normal_form(self.rels, ZMod(self.R.p, 1), left=False, right=False)
-        return len(exps) == self.ngens and all(e == 0 for e in exps)
+        return all(e == 0 for e in self.exps)
 
     def element_is_zero(self, X) -> bool:
         """Whether the vector X, or every column of the matrix X, is zero
@@ -501,28 +493,24 @@ def normal_basis(pres: Pres):
     """The generators of pres read off its own normal form.
 
     With exps, U = pres.normal_form() and keep the t with exps[t] > 0,
-    returns (gens, coords, sub): gens = the keep columns of U^-1, one
-    generator per nonzero cyclic factor, in pres's coordinates; coords =
-    U[keep], so x = gens @ (coords @ x) modulo pres's relations for every
-    x, with no solve; and sub, the module presented on gens, where the
-    kept generator with annihilator exponent e has the single relation
-    p^e.  The kept exponents are ascending, so sub is its own normal
-    form (identity transform); it is stored, and no SNF is run for it.
-
-    U^-1 comes out of the elimination that gives U, so a fresh pres is
-    factored once.  A pres whose normal form was cached without the
-    inverse is factored once more, with it.
+    returns (gens, coords, sub): gens = the keep columns of U^-1, the
+    read-only array cached with that normal form (so pres is factored at
+    most once), one generator per nonzero cyclic factor, in pres's
+    coordinates; coords = U[keep], so x = gens @ (coords @ x) modulo
+    pres's relations for every x, with no solve; and sub, the module
+    presented on gens, where the kept generator with annihilator
+    exponent e has the single relation p^e.  The kept exponents are
+    ascending, so sub is its own normal form (identity transform); it is
+    stored, and no SNF is run for it.
     """
     R = pres.R
-    if pres._nf is None or pres._nf[2] is None:
-        pres._factor(inverse=True)
-    exps, U, Uinv = pres._nf
+    exps, U = pres.normal_form()
     keep = [t for t, e in enumerate(exps) if e > 0]
     pe = np.array([R.p ** exps[t] for t in keep], dtype=np.int64) % R.q
     sub = Pres(R, len(keep), np.diag(pe)[:, pe != 0])
     eye = R.eye(len(keep))
     sub._nf = ([exps[t] for t in keep], eye, eye)
-    return Uinv[:, keep], U[keep], sub
+    return pres._nf[2], U[keep], sub
 
 
 def minimal_gens(G, amb: Pres):

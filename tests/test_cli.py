@@ -78,6 +78,19 @@ def test_invariants_stamps_the_v_depth_it_computed_at(specs, capsys):
     assert data == deep
 
 
+@pytest.mark.parametrize(
+    "name, precision, level", [("e12", "4", {"m": 4, "n": 10}), ("w", "1", {"m": 2, "n": 8})]
+)
+def test_invariants_stamps_each_routes_base_level(name, precision, level, specs, capsys):
+    # E_{1/2}'s slopes need V-depth m (i + j) + 2; the Hodge numbers are
+    # computed at precision 2 at least
+    code, out, _ = run_cli(["invariants", specs[name], "--precision", precision], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["truncation"] == {"m": int(precision), "n": 8}
+    assert data["effective_level"] == level
+
+
 def test_invariants_markdown_grid(specs, capsys):
     code, out, err = run_cli(["invariants", specs["p4"], "--format", "md"], capsys)
     assert code == 0
@@ -149,6 +162,7 @@ def test_invariants_at_p_7_multiply_past_the_int64_bound_exactly(specs, capsys, 
         assert code == 0
         runs[m] = json.loads(out)
         assert runs[m].pop("truncation") == {"m": int(m), "n": 8}
+        runs[m].pop("effective_level")  # the slope depth grows with m
         assert any(past) == (m == "7")
         past.clear()
     assert runs["7"] == runs["4"]
@@ -277,6 +291,28 @@ def test_report_does_not_import_numpy_random():
 def test_star_derived_requires_height_block(specs, capsys):
     code, out, err = run_cli(["star", specs["w"], specs["dap"], "--derived"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "first, flags",
+    [({"kind": "UnitW"}, []), ({"kind": "Dieudonne", "i": 1, "j": 1}, ["--derived"])],
+)
+def test_star_at_r_above_1_exits_2_before_computing(first, flags, tmp_path, capsys, monkeypatch):
+    from raynaud import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before refusing")
+
+    for name in ("derived_star", "star_frobenius_bijective", "star_presentation"):
+        monkeypatch.setattr(cli, name, refuse)
+    paths = []
+    for name, block in (("a", first), ("b", {"kind": "Domino", "t": 0})):
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({"p": 2, "r": 2, "object": [{"block": block}]}))
+        paths.append(str(spec))
+    code, out, err = run_cli(["star", *paths, *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["spec error: star is implemented for r = 1, got r = 2"]
 
 
 def test_report_default(capsys):

@@ -429,17 +429,6 @@ def test_snf_exponents_match_sympy_invariant_factors(case):
     assert smith_normal_form(A, R)[2] == [_val_capped(d, R) for d in factors]
 
 
-@PROPERTY
-@given(sparse_matrices())
-def test_pres_is_zero_rank_test_matches_normal_form(case):
-    R, A = case
-    fresh = Pres(R, A.shape[0], A)  # no normal form cached: rank test mod p
-    assert fresh.is_zero() == all(e == 0 for e in Pres(R, A.shape[0], A).exps)
-    cached = Pres(R, A.shape[0], A)
-    cached.normal_form()
-    assert cached.is_zero() == fresh.is_zero()
-
-
 def _unique_columns_reference(A, R):
     """The relation columns `Pres` stored when it called `np.unique`: the
     distinct nonzero columns of A mod q in lexicographic order, a single
@@ -674,9 +663,40 @@ def test_snf_inverse_transform_at_star_level_shapes(case):
     _assert_inverse_read_off_the_elimination(case[1], case[0])
 
 
+def _is_zero_mod_p(pres):
+    """Nakayama over the local ring Z/p^m: the module is zero iff it is
+    zero mod p, i.e. iff rels mod p has full row rank over F_p (the
+    implicit lattice p^m * (every generator) vanishes mod p).  The zero
+    test `Pres` ran before it read its own normal form; kept only as the
+    oracle of `Pres.is_zero`."""
+    _, _, exps = smith_normal_form(pres.rels, ZMod(pres.R.p, 1), left=False, right=False)
+    return len(exps) == pres.ngens and all(e == 0 for e in exps)
+
+
+def _assert_is_zero_matches_rank_test(A, R):
+    pres = Pres(R, A.shape[0], A)
+    assert pres.is_zero() == _is_zero_mod_p(pres)
+    assert pres._nf is not None  # answered from the normal form
+
+
+@PROPERTY
+@given(st.one_of(sparse_matrices(), matrices_at_large_q()))
+def test_pres_is_zero_rank_test_matches_normal_form(case):
+    _assert_is_zero_matches_rank_test(case[1], case[0])
+
+
+@settings(PROPERTY, max_examples=3)
+@given(sparse_matrices(max_rows=250, max_cols=960, min_size=100, densities=(0.002, 0.005, 0.01)))
+@example(_star_level_matrix())
+@example((ZMod(2, 3), np.hstack([_star_level_matrix()[1], 5 * np.eye(242, dtype=np.int64)])))
+def test_pres_is_zero_at_star_level_shapes(case):
+    _assert_is_zero_matches_rank_test(case[1], case[0])
+
+
 def test_normal_basis_factors_each_presentation_once(monkeypatch):
-    # a fresh presentation is factored once for its normal form and its
-    # basis together; one already factored without the inverse once more
+    # one factorization, with U^-1, answers the normal form, the basis and
+    # the zero test, whichever is asked first; only the inverse's columns
+    # on the nonzero factors are kept
     import raynaud.linalg as linalg
 
     calls = []
@@ -684,14 +704,17 @@ def test_normal_basis_factors_each_presentation_once(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", lambda *a, **k: calls.append(k) or snf(*a, **k))
     R = ZMod(3, 2)
     rels = np.array([[3, 0, 1], [0, 0, 3], [1, 3, 0]])
-    gens, coords, sub = normal_basis(Pres(R, 3, rels))
-    assert len(calls) == 1 and calls[0]["left_inverse"]
+    fresh = Pres(R, 3, rels)
+    gens, coords, sub = normal_basis(fresh)
+    fresh.is_zero()
     cached = Pres(R, 3, rels)
     cached.normal_form()
     again = normal_basis(cached)
-    assert len(calls) == 3 and not calls[1]["left_inverse"] and calls[2]["left_inverse"]
     normal_basis(cached)
-    assert len(calls) == 3
+    assert len(calls) == 2 and all(k["left_inverse"] for k in calls)
+    kept = sum(1 for e in cached.exps if e > 0)
+    assert 0 < kept < 3 and cached._nf[2].shape == (3, kept)
+    assert again[0] is cached._nf[2] and not again[0].flags.writeable
     for a, b in zip((gens, coords, sub.rels), (again[0], again[1], again[2].rels)):
         assert a.tobytes() == b.tobytes()
 

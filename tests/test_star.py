@@ -213,6 +213,26 @@ def test_derived_star_key_computation():
     assert res["H0"]["identified"] == "U_1"
 
 
+def test_derived_star_factors_no_relation_array_twice(monkeypatch):
+    # fresh blocks, so no level is cached from an earlier test; a
+    # presentation read for its exponents and then for its basis is
+    # factored once
+    from raynaud.blocks import _make_block
+
+    seen = []
+    snf = linalg.smith_normal_form
+
+    def counted(A, *args, **kwargs):
+        seen.append(A)
+        return snf(A, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counted)
+    e, d = _make_block("Dieudonne", P, i=1, j=1), _make_block("DAlphaP", P)
+    res = derived_star(e, d, 2, 6)
+    assert res["H-1"]["identified"] == "U_-1" and res["H0"]["identified"] == "U_1"
+    assert seen and not [A for i, A in enumerate(seen) if any(A is B for B in seen[:i])]
+
+
 def test_derived_star_kernel_bands_match_displayed_decomposition():
     """Grading 0 of the kernel is the V-band; grading 1 is the dV-band
     plus the bottom F^0 d slot."""
