@@ -11,13 +11,20 @@ relations, psi -> gens_dst psi coords_src and phi -> coords_dst phi
 gens_src are mutually inverse on tower maps modulo relations, so the
 system has the same solutions as the one written on the levels' own
 generators, with one unknown per pair of nonzero cyclic factors.
-`find_isomorphism` maps its candidates back to phi and accepts one that
-is invertible at both levels.  Solving at a single level would keep
-phantom maps that do not lift up the tower (e.g. the socle maps
-k -> W_m), but an isomorphism found at both chain levels is one of the
-truncations in the tower sense.  `identify_block` matches a computed
-tower against named blocks up to a depth offset, and
-`cone_or_extension` builds the cone of k(-1) -> U_{-1}.
+Solving at a single level would keep phantom maps that do not lift up
+the tower (e.g. the socle maps k -> W_m), but an isomorphism found at
+both chain levels is one of the truncations in the tower sense.
+
+`find_isomorphism` decides its candidates on psi itself: once the
+per-grading normal forms agree, each grading's block of psi is a square
+map between modules with equal exponents, and by Nakayama it is an
+isomorphism exactly when it is invertible mod p (`is_isomorphism_at`;
+module isomorphism as in Brooksbank & Luks, "Testing isomorphism of
+modules", J. Algebra 320, 2008).  Only the accepted candidate is mapped
+back to phi.  `identify_block` matches a computed tower against named
+blocks at the requested level: Fil^n = V^n + dV^n is defined by the
+module structure, so a tower isomorphism maps level (m, n) to level
+(m, n).  `cone_or_extension` builds the cone of k(-1) -> U_{-1}.
 """
 
 from __future__ import annotations
@@ -27,23 +34,8 @@ import random
 
 import numpy as np
 
-from .linalg import Pres, ZMod, kernel_gens, normal_basis, quotient_by
+from .linalg import Pres, ZMod, kernel_gens, normal_basis
 from .rmod import Level, Tower, Unstable
-
-
-class ShiftDepth(Tower):
-    """The same tower read at depth n + offset (for level-offset matching)."""
-
-    def __init__(self, base: Tower, offset: int):
-        super().__init__(base.p, base.r)
-        self.base = base
-        self.offset = offset
-
-    def gradings(self):
-        return self.base.gradings()
-
-    def _build(self, m, n):
-        return self.base.level(m, n + self.offset)
 
 
 def _step_maps(tower: Tower, i, hi, lo):
@@ -158,22 +150,18 @@ def _chain_solutions(src: Tower, dst: Tower, m, n):
     return kernel_gens(big, RB, src_exps=lattice), offsets, levels, bases
 
 
-def is_isomorphism_at(phi, src: Tower, dst: Tower, m, n) -> bool:
-    """phi (dict grading -> matrix) is invertible at level (m, n)."""
-    Ls, Ld = src.level(m, n), dst.level(m, n)
-    for i in sorted(set(src.gradings()) | set(dst.gradings())):
-        ps, pd = Ls.piece(i).pres, Ld.piece(i).pres
-        if ps.min_exps() != pd.min_exps():
-            return False
-        if ps.ngens == 0:
-            continue
-        A = phi.get(i)
-        if A is None or A.shape != (pd.ngens, ps.ngens):
-            return False
-        C = quotient_by(pd, A)
-        if not C.is_zero():
-            return False
-    return True
+def is_isomorphism_at(psi, p) -> bool:
+    """Whether the normal-basis blocks psi (dict grading -> square
+    matrix) form an isomorphism.
+
+    Each block maps a grading's normal-basis module to one with the same
+    exponents.  By Nakayama it is onto exactly when it is onto mod p, and
+    an onto map between finite modules of the same order is bijective;
+    so psi is an isomorphism exactly when every block is invertible mod
+    p, that is, when its cokernel over F_p is zero.
+    """
+    F = ZMod(p, 1)
+    return all(Pres(F, B.shape[0], B).is_zero() for B in psi.values())
 
 
 class SearchExhausted(Unstable):
@@ -186,46 +174,51 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
 
     Phantom homs are harmless here: any solution that is invertible at
     (m, n) and whose chain partner is invertible at the level above is
-    an isomorphism of the truncations in the tower sense.  The chain
-    system is solved on each level's normal basis (`_chain_solutions`);
-    the candidates are 40 random combinations of its solution columns,
-    drawn one at a time from `random.Random(0)` (a fixed seed, so the
-    search is reproducible), then the columns themselves.  Each is
-    mapped back to phi = gens_dst psi coords_src, in dst's own
-    coordinates, and decided by `is_isomorphism_at` on the levels
-    themselves.  Returns phi at (m, n).
+    an isomorphism of the truncations in the tower sense.  The search
+    runs only when the per-grading normal forms agree at both chain
+    levels (`fingerprints_match`).  The chain system is solved on each
+    level's normal basis (`_chain_solutions`); the candidates are 40
+    random combinations of its solution columns, drawn one at a time
+    from `random.Random(0)` (a fixed seed, so the search is
+    reproducible), then the columns themselves.  Each is decided on its
+    blocks psi by `is_isomorphism_at`, level by level.  Returns phi =
+    gens_dst psi coords_src at (m, n), in dst's own coordinates, for the
+    accepted candidate; two zero towers give the empty map.
 
     None is a decided answer: the per-grading normal forms differ at a
-    chain level, or there is no nonzero chain solution.  When every
-    candidate fails, SearchExhausted is raised instead.
+    chain level, or the towers are nonzero and there is no nonzero chain
+    solution.  When every candidate fails, SearchExhausted is raised
+    instead.
     """
-    G, offsets, levels, bases = _chain_solutions(src, dst, m, n)
-    if not G.any():
+    if not fingerprints_match(src, dst, m, n):
         return None
+    G, offsets, levels, bases = _chain_solutions(src, dst, m, n)
+    if G.shape[0] and not G.any():
+        return None
+    p = src.p
     rng = random.Random(0)
-    RB = ZMod(src.p, levels[-1][0])
+    RB = ZMod(p, levels[-1][0])
     ncand = G.shape[1]
     # formed one at a time, in the rng's order: most searches stop early
     vectors = (
         RB.matmul(G, np.array(rng.choices(range(RB.q), k=ncand), dtype=np.int64)) for _ in range(40)
     )
     gradings = sorted(set(src.gradings()) | set(dst.gradings()))
+
+    def blocks(vec, c):
+        out = {}
+        for i in gradings:
+            off, kd, ks = offsets[(c, i)]
+            out[i] = vec[off : off + kd * ks].reshape(ks, kd).T
+        return out
+
     for vec in itertools.chain(vectors, G.T):
-        phis = []
-        for c, (mc, nc) in enumerate(levels):
-            R = ZMod(src.p, mc)
-            mats = {}
-            for i in gradings:
-                off, kd, ks = offsets[(c, i)]
-                psi = vec[off : off + kd * ks].reshape(ks, kd).T
-                mats[i] = R.matmul(R.matmul(bases[1, c, i][0], psi), bases[0, c, i][1])
-            if not is_isomorphism_at(mats, src, dst, mc, nc):
-                break
-            phis.append(mats)
-        else:
-            return phis[0]
-    if not fingerprints_match(dst, src, m, n):
-        return None
+        if all(is_isomorphism_at(blocks(vec, c), p) for c in range(len(levels))):
+            R = ZMod(p, m)
+            return {
+                i: R.matmul(R.matmul(bases[1, 0, i][0], psi), bases[0, 0, i][1])
+                for i, psi in blocks(vec, 0).items()
+            }
     raise SearchExhausted(
         f"isomorphism search exhausted: none of {40 + ncand} candidates is invertible "
         f"at the levels {levels}"
@@ -233,29 +226,25 @@ def find_isomorphism(src: Tower, dst: Tower, m, n):
 
 
 def identify_block(model: Tower, candidates, m, n):
-    """Match a computed tower against candidate blocks up to a depth offset.
+    """Match a computed tower against candidate blocks at level (m, n).
 
-    candidates: list of (name, tower).  Returns (name, offset, phi) for
-    the first candidate isomorphic to the model at matched levels, or
-    None.  Dimension fingerprints cut the search before any hom solve.
-    A candidate whose search is exhausted is passed over; if no other
-    one is identified, that SearchExhausted is raised.
+    candidates: list of (name, tower).  Returns (name, phi) for the
+    first candidate isomorphic to the model (`find_isomorphism`, whose
+    fingerprint gate cuts the search before any hom solve), or None.
+    Each candidate is read at the requested levels only: a tower
+    isomorphism preserves Fil^n = V^n + dV^n, so it maps level (m, n)
+    to level (m, n).  A candidate whose search is exhausted is passed
+    over; if no other one is identified, that SearchExhausted is raised.
     """
     exhausted = None
     for name, tower in candidates:
-        for off in (0, -1, 1, -2, 2):
-            if n + off < 2:
-                continue
-            shifted = ShiftDepth(tower, off)
-            if not fingerprints_match(model, shifted, m, n):
-                continue
-            try:
-                phi = find_isomorphism(shifted, model, m, n)
-            except SearchExhausted as exc:
-                exhausted = exc
-                continue
-            if phi is not None:
-                return name, off, phi
+        try:
+            phi = find_isomorphism(tower, model, m, n)
+        except SearchExhausted as exc:
+            exhausted = exc
+            continue
+        if phi is not None:
+            return name, phi
     if exhausted is not None:
         raise exhausted
     return None

@@ -104,11 +104,11 @@ def _cached(block, cfg, what, compute):
 def _v_infty_z(tower: Tower, i, m, n):
     """Generators of the stable kernel of all d V^s at level (m, n).
 
-    At most n + 1 steps: a `ShiftDepth` level can be deeper than n.  V
-    is nilpotent on a level, so the loop stops once d V^s is zero, and a
-    step whose d V^s G is zero keeps G (the kernel of a zero map is
-    everything).  The result depends only on the level, i and n, so it
-    is cached on the level, keyed by (i, n), and returned read-only.
+    At most n + 1 steps, a cap only: V is nilpotent on a level, so the
+    loop stops once d V^s is zero, and a step whose d V^s G is zero
+    keeps G (the kernel of a zero map is everything).  The result
+    depends only on the level, i and n, so it is cached on the level,
+    keyed by (i, n), and returned read-only.
     """
     L = tower.level(m, n)
     if (i, n) in L.v_infty_z:

@@ -58,7 +58,7 @@ from .rmod import (
     sub_level,
 )
 from .blocks import BlockModule, make_block
-from .homs import SearchExhausted, ShiftDepth, fingerprints_match, identify_block
+from .homs import SearchExhausted, fingerprints_match, identify_block
 
 
 class ClosedFormInapplicable(ValueError):
@@ -562,11 +562,14 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     directions are limits, handled by eventual images down the levels.
     The kernel bands are accepted on equal spans; the cokernel bands
     only on equal fingerprints (per-grading `min_exps`), not submodules.
-    Returns {"H-1": ..., "H0": ...} with raw presentations, and for each
-    the identification that is always attempted: "identified" (a block
-    name, "0" or None), "offset" (its depth offset) and "status"
-    ("identified", "unidentified", or "search exhausted" when a candidate
-    with matching fingerprints could be neither confirmed nor excluded).
+    Returns {"H-1": ..., "H0": ...}, each with its model tower, "exps"
+    (the per-grading normal forms at level (m, n)) and the
+    identification that is always attempted: "identified" (a block name,
+    "0" or None) and "status" ("identified", "unidentified", or "search
+    exhausted" when a candidate with matching fingerprints could be
+    neither confirmed nor excluded).  The search runs at (min(m, 2),
+    min(n, 4)), and a match must then have the candidate's normal forms
+    at (m, n).
     """
     if Eb.kind != "Dieudonne":
         raise ValueError("derived star is implemented along the height-block resolution")
@@ -631,23 +634,22 @@ def derived_star(Eb: BlockModule, Nb: BlockModule, m: int, n: int):
     cands += [("W", make_block("UnitW", p).tower), ("E", Eb.tower)]
     result = {}
     for which, tower in (("H-1", hminus), ("H0", hzero)):
-        entry = result[which] = {"model": tower, "exps": _model_exps(tower)}
+        L = tower.level(m, n)
+        exps = {g: L.piece(g).pres.min_exps() for g in L.gradings()}
+        entry = result[which] = {"model": tower, "exps": exps}
         if fingerprints_match(tower, SumTower([], p), m, n):
-            entry.update(identified="0", offset=0, status="identified")
+            entry.update(identified="0", status="identified")
             continue
         # explicit isomorphism at a small level; the match must then
         # agree exactly (normal forms per grading) at the working level
         try:
             ident = identify_block(tower, cands, min(m, 2), min(n, 4))
         except SearchExhausted:
-            entry.update(identified=None, offset=None, status="search exhausted")
+            entry.update(identified=None, status="search exhausted")
             continue
-        if ident is not None:
-            name, off, _ = ident
-            if not fingerprints_match(tower, ShiftDepth(dict(cands)[name], off), m, n):
-                ident = None
+        if ident is not None and not fingerprints_match(tower, dict(cands)[ident[0]], m, n):
+            ident = None
         entry["identified"] = ident[0] if ident else None
-        entry["offset"] = ident[1] if ident else None
         entry["status"] = "identified" if ident else "unidentified"
     return result
 
@@ -671,9 +673,3 @@ def _band_select(src: BandModel, dst: BandModel, g):
         if gg == g and key in dst.index:
             M[dst.index[key][1], pos] = 1
     return M
-
-
-def _model_exps(tower: Tower):
-    """Per-grading normal forms of a derived-star model at level (2, 4)."""
-    L = tower.level(2, 4)
-    return {g: L.piece(g).pres.min_exps() for g in L.gradings()}

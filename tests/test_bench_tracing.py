@@ -1,8 +1,9 @@
 """The benchmark's tracer must find every package function it wraps.
 
 `bench/tracing.py` wraps functions by name from outside the package, so
-renaming one breaks the traced benchmark run.  Installing the wrappers
-patches the package for the rest of the process, so this runs them in a
+renaming one breaks the traced benchmark run, and so does changing the
+calls its isomorphism counters read.  Installing the wrappers patches
+the package for the rest of the process, so this runs them in a
 subprocess.
 """
 
@@ -27,6 +28,15 @@ from raynaud.invariants import InvariantConfig, hodge_witt_numbers
 X = FormalObject(2, 1, [Summand(make_block("Domino", 2, t=0), 0, 0)])
 hodge_witt_numbers(X, InvariantConfig(2, 4))
 assert tr.counts["pushdown.steps_used"] > 0, "stable_pushdown was not traced"
+
+from raynaud.homs import identify_block
+
+cands = [(f"U_{t}", make_block("Domino", 2, t=t).tower) for t in (-1, 0)]
+assert identify_block(make_block("Domino", 2, t=0).tower, cands, 2, 5)[0] == "U_0"
+assert tr.counts["iso.found"] == 1, "find_isomorphism was not traced"
+names = {sid: name for sid, name, *_ in tr.spans}
+parents = [names.get(s[4]) for s in tr.spans if s[1] == "homs.is_isomorphism_at"]
+assert parents and set(parents) == {"homs.find_isomorphism"}, parents
 """
 
 

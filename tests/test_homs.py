@@ -7,17 +7,16 @@ import re
 import numpy as np
 import pytest
 
-from raynaud import homs
+from raynaud import homs, rmod
 from raynaud.blocks import make_block
 from raynaud.homs import (
     SearchExhausted,
-    ShiftDepth,
     cone_or_extension,
     find_isomorphism,
     identify_block,
 )
 from raynaud.invariants import InvariantConfig, domino_number_tower
-from raynaud.linalg import Pres, ZMod, kernel_gens, present_span
+from raynaud.linalg import Pres, ZMod, kernel_gens, present_span, quotient_by
 from raynaud.rmod import SumTower, stable_pushdown
 from raynaud.star import derived_star
 
@@ -325,13 +324,13 @@ def _transport(G, blocks_from, blocks_to, maps, p, levels):
     return out
 
 
-def _derived_star_case(which):
-    # H^-1 or H^0 of E_{1/2} * D(alpha_p) at p = 2, against the block and
-    # depth offset it is identified with
-    res = derived_star(make_block("Dieudonne", 2, i=1, j=1), make_block("DAlphaP", 2), 2, 6)
+def _derived_star_case(which, p=2):
+    # H^-1 or H^0 of E_{1/2} * D(alpha_p), against the block it is
+    # identified with
+    res = derived_star(make_block("Dieudonne", p, i=1, j=1), make_block("DAlphaP", p), 2, 6)
     entry = res[which]
     t = {"U_-1": -1, "U_1": 1}[entry["identified"]]
-    return ShiftDepth(make_block("Domino", 2, t=t).tower, entry["offset"]), entry["model"]
+    return make_block("Domino", p, t=t).tower, entry["model"]
 
 
 @pytest.mark.parametrize(
@@ -378,6 +377,75 @@ def test_chain_routes_have_the_same_solutions(case, m, n):
     assert G_psi.shape[0] <= G_phi.shape[0]
 
 
+# ---------------------------------------------------------------------------
+# The decision oracle.  `homs.is_isomorphism_at` decides a candidate on
+# its normal-basis blocks psi, mod p.  `_is_isomorphism_on_levels` is
+# the route it replaced, kept here only as its independent oracle: map
+# psi back to phi = gens_dst psi coords_src in the levels' own
+# coordinates, compare the per-grading normal forms, and ask whether the
+# cokernel of phi (one SNF of the quotient per grading) is zero.
+
+
+def _is_isomorphism_on_levels(phi, src, dst, m, n):
+    """phi (dict grading -> matrix) is invertible at level (m, n)."""
+    Ls, Ld = src.level(m, n), dst.level(m, n)
+    for i in sorted(set(src.gradings()) | set(dst.gradings())):
+        ps, pd = Ls.piece(i).pres, Ld.piece(i).pres
+        if ps.min_exps() != pd.min_exps():
+            return False
+        if ps.ngens == 0:
+            continue
+        A = phi.get(i)
+        if A is None or A.shape != (pd.ngens, ps.ngens):
+            return False
+        if not quotient_by(pd, A).is_zero():
+            return False
+    return True
+
+
+def _decision_pairs():
+    """Tower pairs (name, src, dst, m, n) with matching fingerprints."""
+    for p in (2, 3):
+        for t in (-1, 0, 1):
+            u = make_block("Domino", p, t=t).tower
+            yield f"U_{t} p={p}", u, u, 2, 5
+        for kind, params in (("Dieudonne", {"i": 1, "j": 1}), ("UnitW", {})):
+            b = make_block(kind, p, **params).tower
+            yield f"{kind} p={p}", b, b, 2, 5
+        cone = cone_or_extension(p, 1, 3, 6)["cone_tower"]
+        yield f"cone p={p}", make_block("Domino", p, t=0).tower, cone, 2, 5
+        for which in ("H-1", "H0"):
+            yield f"{which} p={p}", *_derived_star_case(which, p), 2, 4
+
+
+def test_decision_on_psi_matches_the_level_route():
+    # every candidate at both chain levels: random combinations of the
+    # solution columns, the columns themselves and 0/1 combinations
+    accepted = rejected = 0
+    for name, src, dst, m, n in _decision_pairs():
+        p = src.p
+        G, offsets, levels, bases = homs._chain_solutions(src, dst, m, n)
+        RB = ZMod(p, levels[-1][0])
+        rng = random.Random(name)
+        vectors = [RB.matmul(G, np.array(rng.choices(range(RB.q), k=G.shape[1]))) for _ in range(8)]
+        vectors += list(G.T)
+        vectors += [RB.matmul(G, np.array(rng.choices((0, 1), k=G.shape[1]))) for _ in range(8)]
+        gradings = sorted(set(src.gradings()) | set(dst.gradings()))
+        for vec in vectors:
+            for c, (mc, nc) in enumerate(levels):
+                R = ZMod(p, mc)
+                psi, phi = {}, {}
+                for i in gradings:
+                    off, kd, ks = offsets[(c, i)]
+                    psi[i] = vec[off : off + kd * ks].reshape(ks, kd).T
+                    phi[i] = R.matmul(R.matmul(bases[1, c, i][0], psi[i]), bases[0, c, i][1])
+                want = _is_isomorphism_on_levels(phi, src, dst, mc, nc)
+                assert homs.is_isomorphism_at(psi, p) == want, f"{name}, chain level {c}"
+                accepted += want
+                rejected += not want
+    assert accepted > 50 and rejected > 50
+
+
 def test_identify_distinguishes_dominoes():
     p = 2
     cands = [
@@ -390,6 +458,29 @@ def test_identify_distinguishes_dominoes():
         assert got is not None and got[0] == name
 
 
+def test_identify_block_reads_candidates_at_the_asked_levels_only(monkeypatch):
+    # a tower isomorphism maps level (m, n) to level (m, n), so the
+    # candidates are read only at the two chain levels and at (m + 1, n),
+    # where F of the upper chain level lands
+    E, D = make_block("Dieudonne", 2, i=1, j=1), make_block("DAlphaP", 2)
+    model = derived_star(E, D, 2, 6)["H0"]["model"]
+    cands = [(f"U_{t}", make_block("Domino", 2, t=t).tower) for t in (-1, 0, 1, 2)]
+    cands += [("W", make_block("UnitW", 2).tower), ("E", E.tower)]
+    towers = {id(tower) for _, tower in cands}
+    reads = set()
+    real = rmod.Tower.level
+
+    def level(self, m, n):
+        if id(self) in towers:
+            reads.add((m, n))
+        return real(self, m, n)
+
+    monkeypatch.setattr(rmod.Tower, "level", level)
+    got = identify_block(model, cands, 2, 4)
+    assert got is not None and got[0] == "U_1"
+    assert reads == {(2, 4), (3, 4), (3, 5)}
+
+
 def test_find_isomorphism_rejects_distinct_blocks():
     p = 2
     u0 = make_block("Domino", p, t=0).tower
@@ -397,15 +488,34 @@ def test_find_isomorphism_rejects_distinct_blocks():
     assert find_isomorphism(u0, w, 2, 5) is None
 
 
-def _count_isomorphism_tests(monkeypatch, reject=lambda src: False):
+def test_zero_towers_are_isomorphic_by_the_empty_map():
+    zero = SumTower([], 2)
+    assert find_isomorphism(zero, zero, 2, 4) == {}
+
+
+def test_no_nonzero_chain_solution_is_a_decided_no(monkeypatch):
+    # nonzero towers whose chain system has only the zero solution are
+    # not isomorphic: None, not an exhausted search
+    real = homs._chain_solutions
+
+    def only_zero(src, dst, m, n):
+        G, offsets, levels, bases = real(src, dst, m, n)
+        return G[:, :0], offsets, levels, bases
+
+    monkeypatch.setattr(homs, "_chain_solutions", only_zero)
+    u0 = make_block("Domino", 2, t=0).tower
+    assert find_isomorphism(u0, u0, 2, 5) is None
+
+
+def _count_isomorphism_tests(monkeypatch, reject=False):
     """Wrap `homs.is_isomorphism_at`: count its calls, and answer False
-    without testing for the source towers `reject` picks."""
+    to every one without testing when `reject` is set."""
     calls = []
     real = homs.is_isomorphism_at
 
-    def counted(phi, src, dst, m, n):
-        calls.append(src)
-        return False if reject(src) else real(phi, src, dst, m, n)
+    def counted(psi, p):
+        calls.append(psi)
+        return False if reject else real(psi, p)
 
     monkeypatch.setattr(homs, "is_isomorphism_at", counted)
     return calls
@@ -415,7 +525,7 @@ def test_find_isomorphism_exhausted_search_is_not_a_no(monkeypatch):
     # U_0 against itself: the fingerprints match, so a search in which
     # every candidate fails leaves the question open instead of answering it
     u0 = make_block("Domino", 2, t=0).tower
-    calls = _count_isomorphism_tests(monkeypatch, reject=lambda src: True)
+    calls = _count_isomorphism_tests(monkeypatch, reject=True)
     with pytest.raises(SearchExhausted, match="candidates") as info:
         find_isomorphism(u0, u0, 2, 5)
     tried = int(re.search(r"none of (\d+) candidates", str(info.value)).group(1))
@@ -446,10 +556,19 @@ def test_find_isomorphism_forms_no_more_candidates_than_it_tests(monkeypatch):
 
 def test_identify_block_passes_over_an_exhausted_candidate(monkeypatch):
     u0 = make_block("Domino", 2, t=0).tower
-    first = ShiftDepth(u0, 0)  # the same tower under another name
-    _count_isomorphism_tests(monkeypatch, reject=lambda src: src.base is first)
+    first = SumTower([(u0, 0)], 2)  # the same tower under another name
+    real = homs.find_isomorphism
+
+    def search(src, dst, m, n):
+        # every candidate of a search from `first` is rejected
+        with monkeypatch.context() as mp:
+            if src is first:
+                mp.setattr(homs, "is_isomorphism_at", lambda psi, p: False)
+            return real(src, dst, m, n)
+
+    monkeypatch.setattr(homs, "find_isomorphism", search)
     got = identify_block(u0, [("first", first), ("U_0", u0)], 2, 5)
-    assert got is not None and got[:2] == ("U_0", 0)
+    assert got is not None and got[0] == "U_0"
     with pytest.raises(SearchExhausted):
         identify_block(u0, [("first", first)], 2, 5)
 
@@ -463,7 +582,7 @@ def test_identify_block_tries_random_combinations_first(monkeypatch):
     for t, name in [(-1, "U_-1"), (0, "U_0"), (1, "U_1")]:
         calls.clear()
         got = identify_block(make_block("Domino", p, t=t).tower, cands, 2, 5)
-        assert got is not None and got[:2] == (name, 0)
+        assert got is not None and got[0] == name
         assert len(calls) <= 10, f"{len(calls)} isomorphism tests to identify {name}"
 
 

@@ -17,7 +17,6 @@ from test_coverage_extras import finite_length_block
 from raynaud import invariants
 from raynaud.blocks import DominoTower, make_block
 from raynaud.formal import FormalObject
-from raynaud.homs import ShiftDepth
 from raynaud.invariants import (
     InvariantConfig,
     _f_infty_b,
@@ -38,7 +37,7 @@ from raynaud.invariants import (
     totalize,
 )
 from raynaud.linalg import Pres, ZMod, kernel_into
-from raynaud.rmod import Unstable
+from raynaud.rmod import Tower, Unstable
 
 CFG = InvariantConfig(3, 8, 3)
 
@@ -383,12 +382,26 @@ V_INFTY_Z_BLOCKS = [
 ]
 
 
+class _Deeper(Tower):
+    """The same tower, its level (m, n) read at depth n + 2."""
+
+    def __init__(self, base):
+        super().__init__(base.p, base.r)
+        self.base = base
+
+    def gradings(self):
+        return self.base.gradings()
+
+    def _build(self, m, n):
+        return self.base.level(m, n + 2)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("kind,params", V_INFTY_Z_BLOCKS)
 def test_v_infty_z_spans_what_every_step_spans(kind, params, p):
     block = finite_length_block(p) if kind == "FiniteLength" else make_block(kind, p, **params)
-    # a depth-shifted tower reads levels deeper than its n: the n + 1 bound stays
-    for tower in (block.tower, ShiftDepth(block.tower, 2)):
+    # a level built from a deeper one: the n + 1 bound stays
+    for tower in (block.tower, _Deeper(block.tower)):
         gradings = tower.gradings()
         for m, n in [(2, 5), (3, 8)]:
             R = tower.level(m, n).R

@@ -290,18 +290,20 @@ def test_derived_star_with_unit():
 @pytest.mark.parametrize(
     "second,m,n,expected",
     [
-        ("DAlphaP", 2, 6, {"H-1": ("U_-1", 0), "H0": ("U_1", 0)}),
-        ("DAlphaP", 3, 8, {"H-1": ("U_-1", 0), "H0": ("U_1", 0)}),
-        ("UnitW", 2, 6, {"H-1": ("0", 0), "H0": ("E", 0)}),
-        ("UnitW", 3, 8, {"H-1": ("0", 0), "H0": ("E", 0)}),
-        ("ResidueK", 2, 6, {"H-1": ("0", 0), "H0": (None, None)}),
+        ("DAlphaP", 2, 6, {"H-1": "U_-1", "H0": "U_1"}),
+        ("DAlphaP", 3, 8, {"H-1": "U_-1", "H0": "U_1"}),
+        ("UnitW", 2, 6, {"H-1": "0", "H0": "E"}),
+        ("UnitW", 3, 8, {"H-1": "0", "H0": "E"}),
+        ("ResidueK", 2, 6, {"H-1": "0", "H0": None}),
     ],
 )
 def test_derived_star_identifications_and_offsets(second, m, n, expected):
+    # an identification is made at the requested level itself, so no
+    # entry carries a depth offset
     e = make_block("Dieudonne", P, i=1, j=1)
     res = derived_star(e, make_block(second, P), m, n)
-    got = {w: (res[w]["identified"], res[w]["offset"]) for w in ("H-1", "H0")}
-    assert got == expected
+    assert {w: res[w]["identified"] for w in ("H-1", "H0")} == expected
+    assert all("offset" not in res[w] for w in ("H-1", "H0"))
 
 
 def test_derived_star_at_p7_above_the_int64_range():
@@ -321,7 +323,7 @@ def test_derived_star_records_an_exhausted_search(monkeypatch):
     res = derived_star(e, make_block("UnitW", P), 2, 6)
     assert res["H-1"]["status"] == "identified"  # the zero test needs no search
     assert res["H0"]["status"] == "search exhausted"
-    assert res["H0"]["identified"] is None and res["H0"]["offset"] is None
+    assert res["H0"]["identified"] is None
 
 
 def test_derived_star_requires_height_block():
@@ -373,16 +375,13 @@ def test_swap_symmetry_more_pairs():
 
 def test_derived_star_identification_explicit_at_full_level():
     # beyond fingerprints: explicit invertible intertwiners at the working level
-    from raynaud.homs import ShiftDepth
-
     e = make_block("Dieudonne", P, i=1, j=1)
     d = make_block("DAlphaP", P)
     res = derived_star(e, d, 2, 8)
     for which, name, t in [("H-1", "U_-1", -1), ("H0", "U_1", 1)]:
         assert res[which]["identified"] == name
         model = res[which]["model"]
-        cand = ShiftDepth(make_block("Domino", P, t=t).tower, res[which]["offset"])
-        phi = find_isomorphism(cand, model, 2, 8)
+        phi = find_isomorphism(make_block("Domino", P, t=t).tower, model, 2, 8)
         assert phi is not None, f"no explicit iso for {which} at (2, 8)"
 
 
