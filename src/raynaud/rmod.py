@@ -26,7 +26,9 @@ level-chain step builds its span and that span's quotient once;
 
 `fil_gens` is the one builder of Fil^s: the truncation levels of a
 `ModelTower`, `standard_filtration`, the finite-length check and the
-v_N map of the Hodge complex all take (dV^s | V^s) from it.
+v_N map of the Hodge complex all take (dV^s | V^s) from it.  The star
+symbol model reads its Fil^s off its symbols' V-levels instead
+(`star.StarModel.cut`), with this route as the tests' oracle.
 
 `SumTower` is the one direct-sum tower: one summand with a shift is a
 grading-shifted tower, and no summand at all is the zero tower.

@@ -6,7 +6,8 @@ Three routes are implemented and cross-checked:
   module on symbols V^s(x * y), dV^s(x * y), x * y over a generator
   grid bounded by the V-depth, modulo the instantiated defining
   relations (V x) * y = V(x * F y), x * (V y) = V(F x * y) and their
-  d-images, then cut by the output's own standard filtration.
+  d-images, then cut modulo its own Fil^(n+2) by deleting the symbols of
+  V-level s >= n + 2 (`StarModel.cut`).
   `StarModel` builds each relation family and operator as one Kronecker
   block over all generator pairs of two gradings (`ZMod.kron`); the
   tests keep the symbol-by-symbol expansion as its oracle.
@@ -211,6 +212,14 @@ class StarModel:
     each grading's matrix once, with no summation; relation columns that
     stay zero are dropped before the matrix is allocated.  Column order
     does not matter, since `Pres` sorts and deduplicates its columns.
+
+    V shifts g^s to g^(s+1) and h^s to p h^(s+1), and d sends g^s to h^s
+    for s >= 1, so for 1 <= s0 < S the columns of (dV^s0 | V^s0) span
+    exactly the unit vectors of the symbols with s >= s0, and `cut(s0)`
+    deletes them.  V and d keep the deleted symbols among themselves, so
+    their restrictions are the induced maps; F never raises s, so the
+    F-lift restricts with nothing lost.  The tests keep the `ModelTower`
+    route over `rmod.fil_gens`, which powers V, as the cut's oracle.
     """
 
     def __init__(self, Mb: BlockModule, Nb: BlockModule, m: int, S: int):
@@ -284,6 +293,20 @@ class StarModel:
             _scatter(mat, [(r, moved[c], v) for r, c, v in rels[g]])
             pieces[g] = LevelPiece(labs, Pres(R, len(labs), mat))
         self.model = Level(R, S, pieces, *self._ops(pairs), r=1)
+
+    def cut(self, s0):
+        """The model modulo Fil^s0, 1 <= s0 < S: its symbols of V-level
+        s < s0, with every relation and operator restricted to them."""
+        if not 1 <= s0 < self.S:
+            raise ValueError(f"the star model of depth {self.S} is cut at 1 <= s0 < {self.S}")
+        L, pieces, V, d, F = self.model, {}, {}, {}, {}
+        keep = {g: np.flatnonzero([lab[1] < s0 for lab in labs]) for g, labs in self.labels.items()}
+        for g, k in keep.items():
+            rels = Pres(self.R, k.size, L.piece(g).pres.rels[k])
+            pieces[g] = LevelPiece([self.labels[g][i] for i in k], rels)
+            V[g], F[g] = L.V(g)[np.ix_(k, k)], L.F_lift(g)[np.ix_(k, k)]
+            d[g] = L.d(g)[np.ix_(keep.get(g + 1, []), k)]
+        return Level(self.R, s0, pieces, V, d, F, r=1)
 
     def _pos(self, kind, levels, gm, gn):
         """Positions of the symbols kind^s(x_a * y_b) of the pair (gm, gn):
@@ -360,10 +383,10 @@ def _scatter(out, entries):
 
 
 def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int):
-    """M * N as a tower at truncation (m, n); the model is cut by the
-    output's own standard filtration at each level.
+    """M * N as a tower at truncation (m, n).
 
-    The symbol model is built at depth n + 3 and cut at n + 2, a margin
+    The symbol model is built at depth n + 3 and cut modulo Fil^(n+2) by
+    deleting its symbols of V-level s >= n + 2 (`StarModel.cut`), a margin
     of two V-steps above the requested level.  The returned tower is
     condensed to a minimal generating set; the raw symbol model (with
     its second-factor map machinery) is returned alongside.
@@ -372,8 +395,7 @@ def star_presentation(Mb: BlockModule, Nb: BlockModule, m: int, n: int):
     # quotient once by the filtration before condensing: the level's
     # relation span is V- and d-stable, so the re-presentation commutes
     # with all further filtration quotients
-    base = ModelTower(model.model, Mb.p, depth_margin=1).level(m, n + 2)
-    condensed = condense_level(base)
+    condensed = condense_level(model.cut(n + 2))
     return ModelTower(condensed, Mb.p, depth_margin=1), model
 
 
